@@ -81,7 +81,7 @@ func main() {
 		ctrlBits = flag.Int("control", 32, "control bits per packet (0 = data only; capped by budget)")
 		rate     = flag.Int("rate", 0, "fixed data rate in Mb/s (0 = SNR-based adaptation)")
 		mobile   = flag.Bool("mobile", false, "walking-speed mobile channel")
-		intf     = flag.Bool("interference", false, "inject strong pulse interference")
+		intf     = flag.Bool("interference", false, "inject strong pulse interference (same as -scenario pulse)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		runs     = flag.Int("runs", 1, "independent channel realizations to simulate")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -runs (results identical for any count)")
@@ -101,6 +101,13 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
 		os.Exit(2)
+	}
+	if *intf {
+		if *scenRef != "" {
+			fmt.Fprintln(os.Stderr, "cos-sim: -interference selects the pulse scenario; it cannot combine with -scenario")
+			os.Exit(2)
+		}
+		scen = scenario.Ref{Name: "pulse"}
 	}
 
 	app, err := cli.Boot(*obsAddr, *obsStats, os.Stderr)
@@ -179,7 +186,7 @@ func main() {
 			linkSeed = pool.TaskSeed(*seed, run)
 		}
 		opts := []cos.Option{cos.WithPosition(pos), cos.WithSNR(*snr), cos.WithSeed(linkSeed)}
-		if *scenRef != "" {
+		if scen.Name != "" {
 			opts = append(opts, cos.WithScenario(scen.Name, scen.Params...))
 		}
 		if run > 0 {
@@ -190,9 +197,6 @@ func main() {
 		}
 		if *mobile {
 			opts = append(opts, cos.WithMobile())
-		}
-		if *intf {
-			opts = append(opts, cos.WithInterference(40, 160, 0.004))
 		}
 		if tw != nil && run == 0 {
 			opts = append(opts, cos.WithObserver(tw.Observer()))

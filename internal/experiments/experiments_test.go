@@ -9,6 +9,17 @@ import (
 // tinyScale keeps regression runs fast; shapes must still hold.
 const tinyScale = 0.08
 
+// quickScale is the smallest scale at which every figure still splits
+// into several tasks; the all-figure determinism tables run at it so they
+// stay cheap under -race.
+const quickScale = 0.02
+
+// runSet runs a figure's TaskSet on the in-process pool at the default
+// seed (the configs' Seed defaults to 1 as well).
+func runSet(ts TaskSet) (*Result, error) {
+	return runTasks(context.Background(), "", RunOptions{}, ts)
+}
+
 func seriesByName(t *testing.T, r *Result, name string) Series {
 	t.Helper()
 	for _, s := range r.Series {
@@ -29,7 +40,7 @@ func seriesNames(r *Result) []string {
 }
 
 func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
-	res, err := Fig2SNRGap(context.Background(), Fig2Config{Variants: 2, Step: 2})
+	res, err := runSet(newFig2Tasks(Fig2Config{Variants: 2, Step: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +73,7 @@ func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
 }
 
 func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
-	res, err := Fig3DecoderBER(context.Background(), Fig3Config{Scale: 0.25, Step: 1.3})
+	res, err := runSet(newFig3Tasks(Fig3Config{Scale: 0.25, Step: 1.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +93,7 @@ func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
 }
 
 func TestFig5ShapeFrequencyDiversity(t *testing.T) {
-	res, err := Fig5EVM(context.Background(), Fig5Config{Scale: 0.3})
+	res, err := runSet(newFig5Tasks(Fig5Config{Scale: 0.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestFig5ShapeFrequencyDiversity(t *testing.T) {
 }
 
 func TestFig6ShapePeriodicErrors(t *testing.T) {
-	res, err := Fig6ErrorPattern(context.Background(), Fig6Config{Scale: 0.15})
+	res, err := runSet(newFig6Tasks(Fig6Config{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +165,7 @@ func TestFig6ShapePeriodicErrors(t *testing.T) {
 }
 
 func TestFig7ShapeTemporalStability(t *testing.T) {
-	res, err := Fig7Temporal(context.Background(), Fig7Config{Scale: 0.15, Draws: 20})
+	res, err := runSet(newFig7Tasks(Fig7Config{Scale: 0.15, Draws: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +189,7 @@ func TestFig7ShapeTemporalStability(t *testing.T) {
 }
 
 func TestFig10aShapeSilencesDiscernible(t *testing.T) {
-	res, err := Fig10aMagnitudes(context.Background(), Fig10aConfig{})
+	res, err := runSet(newFig10aTasks(Fig10aConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +217,7 @@ func TestFig10aShapeSilencesDiscernible(t *testing.T) {
 }
 
 func TestFig10bShapeThresholdTradeoff(t *testing.T) {
-	res, err := Fig10bThreshold(context.Background(), Fig10bConfig{Scale: tinyScale, Points: 9})
+	res, err := runSet(newFig10bTasks(Fig10bConfig{Scale: tinyScale, Points: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func TestFig10bShapeThresholdTradeoff(t *testing.T) {
 }
 
 func TestFig10cShapeAccuracy(t *testing.T) {
-	res, err := Fig10cAccuracy(context.Background(), Fig10cConfig{Scale: tinyScale, SNRs: []float64{4, 10, 16}})
+	res, err := runSet(newFig10cTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{4, 10, 16}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +256,7 @@ func TestFig10cShapeAccuracy(t *testing.T) {
 }
 
 func TestFig10dShapeInterference(t *testing.T) {
-	res, err := Fig10dInterference(context.Background(), Fig10cConfig{Scale: tinyScale, SNRs: []float64{8, 14, 20}})
+	res, err := runSet(newFig10dTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{8, 14, 20}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +273,7 @@ func TestFig10dShapeInterference(t *testing.T) {
 }
 
 func TestAblationEVDShape(t *testing.T) {
-	res, err := AblationEVD(context.Background(), AblationConfig{Scale: 0.2})
+	res, err := runSet(newAblationEVDTasks(AblationConfig{Scale: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func TestAblationEVDShape(t *testing.T) {
 }
 
 func TestAblationPlacementShape(t *testing.T) {
-	res, err := AblationPlacement(context.Background(), AblationConfig{Scale: 0.2})
+	res, err := runSet(newAblationPlacementTasks(AblationConfig{Scale: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +311,7 @@ func TestAblationPlacementShape(t *testing.T) {
 }
 
 func TestControlAccuracyShape(t *testing.T) {
-	res, err := ControlAccuracy(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runSet(newControlAccuracyTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +355,7 @@ func TestFig9TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig9 is slow")
 	}
-	res, err := Fig9Capacity(context.Background(), Fig9Config{PacketsPerTrial: 30, PointsPerMode: 2, TargetPRR: 0.96})
+	res, err := runSet(newFig9Tasks(Fig9Config{PacketsPerTrial: 30, PointsPerMode: 2, TargetPRR: 0.96}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +379,7 @@ func TestFig9TinyShape(t *testing.T) {
 }
 
 func TestAblationQuantizationShape(t *testing.T) {
-	res, err := AblationQuantization(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runSet(newAblationQuantizationTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +401,7 @@ func TestAblationQuantizationShape(t *testing.T) {
 }
 
 func TestAblationThresholdShape(t *testing.T) {
-	res, err := AblationThreshold(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runSet(newAblationThresholdTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 
 	"cos/internal/channel"
 	icos "cos/internal/cos"
@@ -21,8 +23,6 @@ var fig10CtrlSCs = []int{9, 10, 11, 12, 13, 14, 15, 16}
 type Fig10aConfig struct {
 	// SNR is the true channel SNR in dB (default 15).
 	SNR float64
-	// Seed drives all randomness.
-	Seed int64
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -31,27 +31,36 @@ func (c *Fig10aConfig) setDefaults() {
 	if c.SNR == 0 {
 		c.SNR = 15
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
-// Fig10aMagnitudes reproduces Fig. 10(a): the relative FFT magnitudes of
-// the 52 occupied subcarriers of one received OFDM symbol in which control
+// fig10aTasks reproduces Fig. 10(a): the relative FFT magnitudes of the
+// 52 occupied subcarriers of one received OFDM symbol in which control
 // subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
-// symbols. The silent bins are clearly discernible. A single packet, so no
-// task decomposition — the context is only checked on entry.
-func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// symbols. The silent bins are clearly discernible. A single packet, so a
+// single task.
+type fig10aTasks struct {
+	cfg Fig10aConfig
+}
+
+func newFig10aTasks(cfg Fig10aConfig) fig10aTasks {
 	cfg.setDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	return fig10aTasks{cfg: cfg}
+}
+
+// fig10aRecord is the packet's |Y| over the 52 occupied subcarriers in
+// ascending logical order; Assemble normalizes them to their maximum.
+type fig10aRecord struct {
+	Mags [52]float64 `json:"mags"`
+}
+
+func (f fig10aTasks) NumTasks() int { return 1 }
+
+func (f fig10aTasks) RunTask(ctx context.Context, _ int, rng *rand.Rand) (json.RawMessage, error) {
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
 		return nil, err
 	}
-	ch, err := trialChannel(cfg.Scenario, channel.PositionC, false, 5)
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionC, false, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +80,7 @@ func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rx, _, err := ch.Propagate(nil, samples, 0, cfg.SNR, rng)
+	rx, _, err := ch.Propagate(nil, samples, 0, f.cfg.SNR, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -79,10 +88,8 @@ func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Collect |Y| over the 52 occupied subcarriers in ascending logical
-	// order, normalized to the maximum.
-	mags := make([]float64, 0, 52)
+	var rec fig10aRecord
+	i := 0
 	for k := -26; k <= 26; k++ {
 		if k == 0 {
 			continue
@@ -91,8 +98,18 @@ func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mags = append(mags, math.Sqrt(dsp.MagSq(fe.Bins[sym][bin])))
+		rec.Mags[i] = math.Sqrt(dsp.MagSq(fe.Bins[sym][bin]))
+		i++
 	}
+	return json.Marshal(rec)
+}
+
+func (f fig10aTasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	all, err := decodeRecords[fig10aRecord](recs)
+	if err != nil {
+		return nil, err
+	}
+	mags := all[0].Mags
 	max := 0.0
 	for _, m := range mags {
 		if m > max {
@@ -126,10 +143,9 @@ type Fig10bConfig struct {
 	Points int
 	// Scale shrinks Packets.
 	Scale float64
-	// Seed drives all randomness.
+	// Seed is the run's seed (RunOptions.Seed); the shared calibration
+	// prelude draws from its task-0 RNG.
 	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -152,7 +168,7 @@ func (c *Fig10bConfig) setDefaults() {
 	}
 }
 
-// Fig10bThreshold reproduces Fig. 10(b): false positive and false negative
+// fig10bTasks reproduces Fig. 10(b): false positive and false negative
 // probabilities of silence detection as the (fixed) energy-detection
 // threshold sweeps from far below the noise floor to far above the signal
 // level. Too low a threshold misses silences (false negatives); too high a
@@ -160,79 +176,102 @@ func (c *Fig10bConfig) setDefaults() {
 // The x axis is the threshold in dB relative to the estimated noise floor
 // (the paper's absolute dBm axis shifted by its noise floor).
 //
-// The shared calibration and noise-floor probe run serially as task 0 of
-// the seed schedule; the threshold points are pool tasks 1..Points.
-func Fig10bThreshold(ctx context.Context, cfg Fig10bConfig) (*Result, error) {
+// Every threshold point shares one calibrated operating point and noise
+// floor, measured on the index-0 task RNG: task 0 is that prelude's
+// reserved slot (its record is empty), and tasks 1..Points recompute it
+// once per TaskSet value before measuring their threshold.
+type fig10bTasks struct {
+	cfg Fig10bConfig
+	// operatingPoint returns the calibrated true SNR and the reference
+	// noise floor (memoised: computed by the first task that needs it).
+	operatingPoint func() ([2]float64, error)
+}
+
+func newFig10bTasks(cfg Fig10bConfig) fig10bTasks {
 	cfg.setDefaults()
+	return fig10bTasks{cfg: cfg, operatingPoint: sync.OnceValues(func() ([2]float64, error) {
+		mode, err := phy.ModeByRate(12)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		rng := pool.TaskRNG(cfg.Seed, 0)
+		scr := &trialScratch{}
+		actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.MeasuredSNR, rng)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		// Reference noise floor for the x axis.
+		pr, err := probe(scr, ch, 0, mode, 256, actual, rng)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		return [2]float64{actual, pr.fe.NoiseVar}, nil
+	})}
+}
+
+// detectionRecord is one operating point's detection error rates (finite:
+// the rates return 0 for an empty denominator).
+type detectionRecord struct {
+	FP float64 `json:"fp"`
+	FN float64 `json:"fn"`
+}
+
+func (f fig10bTasks) NumTasks() int { return f.cfg.Points + 1 }
+
+// relDB is threshold point pi's offset above the noise floor in dB.
+func (f fig10bTasks) relDB(pi int) float64 {
+	return -15 + 40*float64(pi)/float64(f.cfg.Points-1)
+}
+
+func (f fig10bTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
+	if i == 0 {
+		return emptyRecord, nil
+	}
+	op, err := f.operatingPoint()
+	if err != nil {
+		return nil, err
+	}
+	actual, noiseFloor := op[0], op[1]
 	mode, err := phy.ModeByRate(12)
 	if err != nil {
 		return nil, err
 	}
-	// Serial prelude channel; pool tasks build their own (a channel model
-	// owns tap scratch, and the same variant is the same deterministic draw).
-	ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionB, false, 4)
 	if err != nil {
 		return nil, err
 	}
-	// Serial prelude on the index-0 task RNG: every threshold point shares
-	// this operating point, so it cannot be a pool task.
-	preludeRNG := pool.TaskRNG(cfg.Seed, 0)
-	scr := &trialScratch{} // serial prelude scratch; pool tasks build their own
-	actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.MeasuredSNR, preludeRNG)
-	if err != nil {
-		return nil, err
-	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-
-	// Reference noise floor for the x axis.
-	pr, err := probe(scr, ch, 0, mode, 256, actual, preludeRNG)
-	if err != nil {
-		return nil, err
-	}
-	noiseFloor := pr.fe.NoiseVar
-
-	type point struct {
-		relDB  float64
-		fp, fn float64
-	}
-	pts := make([]point, cfg.Points)
-	err = pool.ForEach(ctx, cfg.Workers, cfg.Points+1, cfg.Seed, func(i int, rng *rand.Rand) error {
-		if i == 0 {
-			return nil // index 0 is the serial prelude above
+	scr := &trialScratch{}
+	th := noiseFloor * dsp.Linear(f.relDB(i-1))
+	var stats icos.DetectionStats
+	for p := 0; p < scaled(f.cfg.Packets, f.cfg.Scale); p++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		pi := i - 1
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+		r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
+			mode:     mode,
+			psduLen:  1024,
+			silences: 12,
+			k:        icos.DefaultBitsPerInterval,
+			ctrlSCs:  fig10CtrlSCs,
+			detector: icos.Detector{FixedThreshold: th},
+		}, rng)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		scr := &trialScratch{}
-		relDB := -15 + 40*float64(pi)/float64(cfg.Points-1)
-		th := noiseFloor * dsp.Linear(relDB)
-		var stats icos.DetectionStats
-		for p := 0; p < packets; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-				mode:     mode,
-				psduLen:  1024,
-				silences: 12,
-				k:        icos.DefaultBitsPerInterval,
-				ctrlSCs:  fig10CtrlSCs,
-				detector: icos.Detector{FixedThreshold: th},
-			}, rng)
-			if err != nil {
-				return err
-			}
-			stats.Add(r.detection)
-		}
-		pts[pi] = point{relDB: relDB, fp: stats.FalsePositiveRate(), fn: stats.FalseNegativeRate()}
-		return nil
-	})
+		stats.Add(r.detection)
+	}
+	return json.Marshal(detectionRecord{FP: stats.FalsePositiveRate(), FN: stats.FalseNegativeRate()})
+}
+
+func (f fig10bTasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	pts, err := decodeRecords[detectionRecord](recs)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{
 		ID:     "fig10b",
 		Title:  "Detection accuracy vs energy-detection threshold (measured SNR 9.2 dB)",
@@ -241,11 +280,11 @@ func Fig10bThreshold(ctx context.Context, cfg Fig10bConfig) (*Result, error) {
 	}
 	fp := Series{Name: "FalsePositive"}
 	fn := Series{Name: "FalseNegative"}
-	for _, pt := range pts {
-		fp.X = append(fp.X, pt.relDB)
-		fp.Y = append(fp.Y, pt.fp)
-		fn.X = append(fn.X, pt.relDB)
-		fn.Y = append(fn.Y, pt.fn)
+	for pi, pt := range pts[1:] {
+		fp.X = append(fp.X, f.relDB(pi))
+		fp.Y = append(fp.Y, pt.FP)
+		fn.X = append(fn.X, f.relDB(pi))
+		fn.Y = append(fn.Y, pt.FN)
 	}
 	res.Add(fp)
 	res.Add(fn)
@@ -260,12 +299,9 @@ type Fig10cConfig struct {
 	Packets int
 	// Scale shrinks Packets.
 	Scale float64
-	// Seed drives all randomness.
+	// Seed is the run's seed (RunOptions.Seed); Fig. 10(d)'s interference
+	// arm draws from seed+1.
 	Seed int64
-	// Interference enables the pulse interferer (Fig. 10(d)).
-	Interference bool
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -285,107 +321,116 @@ func (c *Fig10cConfig) setDefaults() {
 	}
 }
 
-// accuracySweep runs the detection-accuracy measurement behind Figs. 10(c)
+// accuracyTasks runs the detection-accuracy measurement behind Figs. 10(c)
 // and 10(d): false positive and negative probabilities of the adaptive
-// detector across channel SNRs, optionally under pulse interference. Each
-// SNR operating point is one pool task (it calibrates, then accumulates its
-// own detection statistics on a private RNG).
-func accuracySweep(ctx context.Context, cfg Fig10cConfig, interfere bool) (fp, fn Series, err error) {
-	mode, err := phy.ModeByRate(12)
-	if err != nil {
-		return fp, fn, err
-	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-	intf := channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
-
-	type point struct{ fp, fn float64 }
-	pts := make([]point, len(cfg.SNRs))
-	err = pool.ForEach(ctx, cfg.Workers, len(cfg.SNRs), cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (the same variant is the same deterministic draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
-		if err != nil {
-			return err
-		}
-		scr := &trialScratch{}
-		actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.SNRs[i], rng)
-		if err != nil {
-			return err
-		}
-		trial := cosTrialConfig{
-			mode:     mode,
-			psduLen:  1024,
-			silences: 12,
-			k:        icos.DefaultBitsPerInterval,
-			ctrlSCs:  fig10CtrlSCs,
-			detector: icos.Detector{Scheme: mode.Modulation},
-		}
-		if interfere {
-			trial.interferer = &intf
-		}
-		var stats icos.DetectionStats
-		for p := 0; p < packets; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := runCoSTrial(scr, ch, 0, actual, trial, rng)
-			if err != nil {
-				return err
-			}
-			stats.Add(r.detection)
-		}
-		pts[i] = point{fp: stats.FalsePositiveRate(), fn: stats.FalseNegativeRate()}
-		return nil
-	})
-	if err != nil {
-		return fp, fn, err
-	}
-	for i, snr := range cfg.SNRs {
-		fp.X = append(fp.X, snr)
-		fp.Y = append(fp.Y, pts[i].fp)
-		fn.X = append(fn.X, snr)
-		fn.Y = append(fn.Y, pts[i].fn)
-	}
-	return fp, fn, nil
+// detector across channel SNRs. Each SNR operating point is one task (it
+// calibrates, then accumulates its own detection statistics). Fig. 10(d)
+// appends a second arm under pulse interference, tasks len(SNRs).. — its
+// tasks draw from the seed+1 task RNG of their SNR index instead of the
+// RNG they are handed, so the two arms see independent noise while task
+// i of each arm keeps its seed.
+type accuracyTasks struct {
+	cfg Fig10cConfig
+	// interfered adds the pulse-interference arm (Fig. 10(d)).
+	interfered bool
 }
 
-// Fig10cAccuracy reproduces Fig. 10(c): detection accuracy of the adaptive
+// newFig10cTasks reproduces Fig. 10(c): detection accuracy of the adaptive
 // detector across channel SNRs; the false-negative probability stays below
 // ~1% everywhere, while false positives rise only at very low SNR where
 // deep fades approach the noise floor.
-func Fig10cAccuracy(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
+func newFig10cTasks(cfg Fig10cConfig) accuracyTasks {
 	cfg.setDefaults()
-	fp, fn, err := accuracySweep(ctx, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	fp.Name, fn.Name = "FalsePositive", "FalseNegative"
-	res := &Result{
-		ID:     "fig10c",
-		Title:  "Detection accuracy vs measured SNR (adaptive threshold)",
-		XLabel: "measured SNR (dB)",
-		YLabel: "probability",
-	}
-	res.Add(fp)
-	res.Add(fn)
-	return res, nil
+	return accuracyTasks{cfg: cfg}
 }
 
-// Fig10dInterference reproduces Fig. 10(d): the false-negative probability
+// newFig10dTasks reproduces Fig. 10(d): the false-negative probability
 // with and without strong pulse interference. Interference landing on a
 // silent bin lifts it above threshold and the silence is missed.
-func Fig10dInterference(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
+func newFig10dTasks(cfg Fig10cConfig) accuracyTasks {
 	cfg.setDefaults()
-	_, fnClean, err := accuracySweep(ctx, cfg, false)
+	return accuracyTasks{cfg: cfg, interfered: true}
+}
+
+func (f accuracyTasks) NumTasks() int {
+	if f.interfered {
+		return 2 * len(f.cfg.SNRs)
+	}
+	return len(f.cfg.SNRs)
+}
+
+func (f accuracyTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
+	mode, err := phy.ModeByRate(12)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Seed++ // independent noise for the interference arm
-	_, fnDirty, err := accuracySweep(ctx, cfg, true)
+	// Per task: a channel model owns tap scratch, so point-tasks must not
+	// share one (the same variant is the same deterministic draw).
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionB, false, 4)
 	if err != nil {
 		return nil, err
 	}
-	fnClean.Name = "CoS"
+	si := i % len(f.cfg.SNRs)
+	trial := cosTrialConfig{
+		mode:     mode,
+		psduLen:  1024,
+		silences: 12,
+		k:        icos.DefaultBitsPerInterval,
+		ctrlSCs:  fig10CtrlSCs,
+		detector: icos.Detector{Scheme: mode.Modulation},
+	}
+	if i >= len(f.cfg.SNRs) {
+		rng = pool.TaskRNG(f.cfg.Seed+1, si)
+		trial.interferer = &channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
+	}
+	scr := &trialScratch{}
+	actual, err := calibrateActualSNR(scr, ch, 0, mode, f.cfg.SNRs[si], rng)
+	if err != nil {
+		return nil, err
+	}
+	var stats icos.DetectionStats
+	for p := 0; p < scaled(f.cfg.Packets, f.cfg.Scale); p++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := runCoSTrial(scr, ch, 0, actual, trial, rng)
+		if err != nil {
+			return nil, err
+		}
+		stats.Add(r.detection)
+	}
+	return json.Marshal(detectionRecord{FP: stats.FalsePositiveRate(), FN: stats.FalseNegativeRate()})
+}
+
+func (f accuracyTasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	pts, err := decodeRecords[detectionRecord](recs)
+	if err != nil {
+		return nil, err
+	}
+	arm := func(pts []detectionRecord) (fp, fn Series) {
+		for i, snr := range f.cfg.SNRs {
+			fp.X = append(fp.X, snr)
+			fp.Y = append(fp.Y, pts[i].FP)
+			fn.X = append(fn.X, snr)
+			fn.Y = append(fn.Y, pts[i].FN)
+		}
+		return fp, fn
+	}
+	fp, fn := arm(pts)
+	if !f.interfered {
+		fp.Name, fn.Name = "FalsePositive", "FalseNegative"
+		res := &Result{
+			ID:     "fig10c",
+			Title:  "Detection accuracy vs measured SNR (adaptive threshold)",
+			XLabel: "measured SNR (dB)",
+			YLabel: "probability",
+		}
+		res.Add(fp)
+		res.Add(fn)
+		return res, nil
+	}
+	_, fnDirty := arm(pts[len(f.cfg.SNRs):])
+	fn.Name = "CoS"
 	fnDirty.Name = "CoS with strong interference"
 	res := &Result{
 		ID:     "fig10d",
@@ -394,6 +439,6 @@ func Fig10dInterference(ctx context.Context, cfg Fig10cConfig) (*Result, error) 
 		YLabel: "false negative probability",
 	}
 	res.Add(fnDirty)
-	res.Add(fnClean)
+	res.Add(fn)
 	return res, nil
 }

@@ -20,10 +20,6 @@ type Fig2Config struct {
 	// Variants is the number of independent channel realizations averaged
 	// per point (default 3).
 	Variants int
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -38,9 +34,6 @@ func (c *Fig2Config) setDefaults() {
 	if c.Variants == 0 {
 		c.Variants = 3
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // steps is the number of SNR points in the sweep grid.
@@ -52,19 +45,6 @@ func (c *Fig2Config) steps() int {
 	return n
 }
 
-// fig2ConfigFrom maps registry RunOptions onto a Fig2Config exactly as the
-// registry entry always has; serve's figure_task executor calls this too,
-// so a task decomposed locally and one decomposed on a backend agree.
-func fig2ConfigFrom(o RunOptions) Fig2Config {
-	cfg := Fig2Config{Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
-	if o.Scale < 1 {
-		cfg.Variants = 2
-		cfg.Step = 2
-	}
-	cfg.setDefaults()
-	return cfg
-}
-
 // fig2Record is one (variant, SNR) probe's serialized outcome. ok=false
 // marks an out-of-range SNR estimate whose slot stays empty.
 type fig2Record struct {
@@ -74,10 +54,22 @@ type fig2Record struct {
 	Actual   float64 `json:"actual"`
 }
 
-// fig2Tasks is Fig. 2 decomposed into one point-task per (variant, SNR)
-// grid cell. cfg must have defaults applied.
+// fig2Tasks reproduces Fig. 2: the gap between the minimum SNR required by
+// the adaptively selected data rate and the actual channel SNR, as a
+// function of the receiver's measured SNR. Two mechanisms open the gap:
+// the stair-case rate table (discrete rates under a continuous SNR) and the
+// NIC's frequency-selectivity-blind SNR estimate sitting below the true
+// mean SNR.
+//
+// Every (variant, SNR) probe is an independent point-task; the sweep grid
+// reassembles sorted by measured SNR.
 type fig2Tasks struct {
 	cfg Fig2Config
+}
+
+func newFig2Tasks(cfg Fig2Config) fig2Tasks {
+	cfg.setDefaults()
+	return fig2Tasks{cfg: cfg}
 }
 
 func (f fig2Tasks) NumTasks() int { return f.cfg.Variants * f.cfg.steps() }
@@ -112,12 +104,12 @@ func (f fig2Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.Raw
 }
 
 func (f fig2Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
-	kept := make([]fig2Record, 0, len(recs))
-	for _, raw := range recs {
-		var rec fig2Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, err
-		}
+	all, err := decodeRecords[fig2Record](recs)
+	if err != nil {
+		return nil, err
+	}
+	kept := make([]fig2Record, 0, len(all))
+	for _, rec := range all {
 		if rec.OK {
 			kept = append(kept, rec)
 		}
@@ -142,18 +134,4 @@ func (f fig2Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 	res.Add(actual)
 	res.Note("actual SNR always sits above the stair-case minimum: the gap CoS harvests")
 	return res, nil
-}
-
-// Fig2SNRGap reproduces Fig. 2: the gap between the minimum SNR required by
-// the adaptively selected data rate and the actual channel SNR, as a
-// function of the receiver's measured SNR. Two mechanisms open the gap:
-// the stair-case rate table (discrete rates under a continuous SNR) and the
-// NIC's frequency-selectivity-blind SNR estimate sitting below the true
-// mean SNR.
-//
-// Every (variant, SNR) probe is an independent point-task; the sweep grid
-// runs on the worker pool and reassembles in deterministic order.
-func Fig2SNRGap(ctx context.Context, cfg Fig2Config) (*Result, error) {
-	cfg.setDefaults()
-	return runTasks(ctx, "fig2", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig2Tasks{cfg: cfg})
 }

@@ -21,10 +21,6 @@ type Fig3Config struct {
 	Packets int
 	// Scale shrinks Packets for quick runs.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -41,9 +37,6 @@ func (c *Fig3Config) setDefaults() {
 	}
 	if c.Scale == 0 {
 		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -81,15 +74,6 @@ func fig3BERAt(ctx context.Context, ch scenario.ChannelModel, mode phy.Mode, tar
 	return float64(errsTotal) / float64(bitsTotal), nil
 }
 
-// fig3ConfigFrom maps registry RunOptions onto a Fig3Config exactly as the
-// registry entry always has; serve's figure_task executor shares it so
-// local and remote decompositions agree.
-func fig3ConfigFrom(o RunOptions) Fig3Config {
-	cfg := Fig3Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
-	cfg.setDefaults()
-	return cfg
-}
-
 // snrPoints is the sweep grid: task 0 is the decoder tolerance anchor at
 // MinSNR, tasks 1..n the swept points.
 func (c *Fig3Config) snrPoints() []float64 {
@@ -106,10 +90,21 @@ type fig3Record struct {
 	BER float64 `json:"ber"`
 }
 
-// fig3Tasks is Fig. 3 decomposed into one point-task per SNR point plus
-// the 12 dB tolerance anchor (task 0). cfg must have defaults applied.
+// fig3Tasks reproduces Fig. 3: decoder-input BER versus measured SNR at
+// 24 Mb/s. "Actual BER" is the hard-decision error rate on the coded bits
+// entering the Viterbi decoder; "Redundant BER" is the headroom — the BER
+// the decoder could still tolerate, estimated as the decoder-input BER at
+// the mode's minimum required SNR (12 dB) minus the actual BER.
+//
+// The sweep decomposes into one point-task per SNR point plus the 12 dB
+// tolerance anchor (task 0).
 type fig3Tasks struct {
 	cfg Fig3Config
+}
+
+func newFig3Tasks(cfg Fig3Config) fig3Tasks {
+	cfg.setDefaults()
+	return fig3Tasks{cfg: cfg}
 }
 
 func (f fig3Tasks) NumTasks() int { return len(f.cfg.snrPoints()) }
@@ -135,15 +130,11 @@ func (f fig3Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.Raw
 
 func (f fig3Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 	snrs := f.cfg.snrPoints()
-	bers := make([]float64, len(recs))
-	for i, raw := range recs {
-		var rec fig3Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, err
-		}
-		bers[i] = rec.BER
+	bers, err := decodeRecords[fig3Record](recs)
+	if err != nil {
+		return nil, err
 	}
-	tolerable := bers[0]
+	tolerable := bers[0].BER
 
 	res := &Result{
 		ID:     "fig3",
@@ -154,7 +145,7 @@ func (f fig3Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 	actualSer := Series{Name: "ActualBER"}
 	redundSer := Series{Name: "RedundantBER"}
 	for i, snr := range snrs[1:] {
-		ber := bers[i+1]
+		ber := bers[i+1].BER
 		red := tolerable - ber
 		if red < 0 {
 			red = 0
@@ -168,18 +159,4 @@ func (f fig3Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 	res.Add(redundSer)
 	res.Note("tolerable decoder-input BER anchored at the 12 dB minimum required SNR: %.5f", tolerable)
 	return res, nil
-}
-
-// Fig3DecoderBER reproduces Fig. 3: decoder-input BER versus measured SNR
-// at 24 Mb/s. "Actual BER" is the hard-decision error rate on the coded
-// bits entering the Viterbi decoder; "Redundant BER" is the headroom —
-// the BER the decoder could still tolerate, estimated as the decoder-input
-// BER at the mode's minimum required SNR (12 dB) minus the actual BER.
-//
-// The sweep decomposes into one point-task per SNR point plus one for the
-// 12 dB tolerance anchor; tasks run on the worker pool with private RNGs,
-// so parallel output is bit-identical to serial.
-func Fig3DecoderBER(ctx context.Context, cfg Fig3Config) (*Result, error) {
-	cfg.setDefaults()
-	return runTasks(ctx, "fig3", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig3Tasks{cfg: cfg})
 }

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 
 	"cos/internal/channel"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-	"cos/internal/pool"
 )
 
 // Fig5Config parameterizes the per-subcarrier EVM measurement.
@@ -18,10 +18,6 @@ type Fig5Config struct {
 	Packets int
 	// Scale shrinks Packets.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -36,64 +32,76 @@ func (c *Fig5Config) setDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
-// Fig5EVM reproduces Fig. 5: measured per-subcarrier EVM (percent) of the
-// 48 data subcarriers at the three receiver positions. Frequency-selective
-// fading makes different subcarriers — and different positions — exhibit
-// very different EVM. Each position is one point-task.
-func Fig5EVM(ctx context.Context, cfg Fig5Config) (*Result, error) {
+// fig5Tasks reproduces Fig. 5: measured per-subcarrier EVM (percent) of
+// the 48 data subcarriers at the three receiver positions. Frequency-
+// selective fading makes different subcarriers — and different positions —
+// exhibit very different EVM. Each position is one point-task.
+type fig5Tasks struct {
+	cfg Fig5Config
+}
+
+func newFig5Tasks(cfg Fig5Config) fig5Tasks {
 	cfg.setDefaults()
+	return fig5Tasks{cfg: cfg}
+}
+
+// fig5Record is one position's per-subcarrier EVM, summed over its packets
+// (EVM fractions are finite: a dead subcarrier equalizes to zero).
+type fig5Record struct {
+	EVMSum [ofdm.NumData]float64 `json:"evm_sum"`
+}
+
+func (f fig5Tasks) NumTasks() int { return len(channel.Positions()) }
+
+func (f fig5Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
 		return nil, err
 	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-	positions := channel.Positions()
-
-	accs := make([][ofdm.NumData]float64, len(positions))
-	err = pool.ForEach(ctx, cfg.Workers, len(positions), cfg.Seed, func(i int, rng *rand.Rand) error {
-		ch, err := trialChannel(cfg.Scenario, positions[i], false, 0)
-		if err != nil {
-			return err
-		}
-		scr := &trialScratch{}
-		for p := 0; p < packets; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			pr, err := probe(scr, ch, 0, mode, 1024, cfg.SNR, rng)
-			if err != nil {
-				return err
-			}
-			diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
-			if err != nil {
-				return err
-			}
-			for d := 0; d < ofdm.NumData; d++ {
-				accs[i][d] += diag.EVM[d]
-			}
-		}
-		return nil
-	})
+	ch, err := trialChannel(f.cfg.Scenario, channel.Positions()[i], false, 0)
 	if err != nil {
 		return nil, err
 	}
+	scr := &trialScratch{}
+	var rec fig5Record
+	for p := 0; p < scaled(f.cfg.Packets, f.cfg.Scale); p++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pr, err := probe(scr, ch, 0, mode, 1024, f.cfg.SNR, rng)
+		if err != nil {
+			return nil, err
+		}
+		diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		for d := 0; d < ofdm.NumData; d++ {
+			rec.EVMSum[d] += diag.EVM[d]
+		}
+	}
+	return json.Marshal(rec)
+}
 
+func (f fig5Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	accs, err := decodeRecords[fig5Record](recs)
+	if err != nil {
+		return nil, err
+	}
+	packets := scaled(f.cfg.Packets, f.cfg.Scale)
 	res := &Result{
 		ID:     "fig5",
 		Title:  "Per-subcarrier EVM at three positions (frequency selective fading)",
 		XLabel: "subcarrier index (1-48)",
 		YLabel: "EVM (%)",
 	}
-	for i, pos := range positions {
+	for i, pos := range channel.Positions() {
 		s := Series{Name: pos.String()}
 		for d := 0; d < ofdm.NumData; d++ {
 			s.X = append(s.X, float64(d+1))
-			s.Y = append(s.Y, 100*accs[i][d]/float64(packets))
+			s.Y = append(s.Y, 100*accs[i].EVMSum[d]/float64(packets))
 		}
 		res.Add(s)
 	}

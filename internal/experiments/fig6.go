@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 
 	"cos/internal/channel"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-	"cos/internal/pool"
 )
 
 // Fig6Config parameterizes the symbol-error pattern measurement.
@@ -23,10 +23,6 @@ type Fig6Config struct {
 	Positions int
 	// Scale shrinks Packets.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -44,76 +40,80 @@ func (c *Fig6Config) setDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
-// fig6Packet is one packet's error pattern, kept per task so the parallel
-// merge is an order-independent integer accumulation done serially after
-// the pool drains.
-type fig6Packet struct {
-	errorPositions []int
-	scErrors       [ofdm.NumData]int
-	scCounts       [ofdm.NumData]int
-}
-
-// Fig6ErrorPattern reproduces Fig. 6 at Position A (mobile): (a) the
-// frequency of symbol errors at each in-packet symbol position — revealing
-// the ~48-position periodicity induced by weak subcarriers — and (b) the
+// fig6Tasks reproduces Fig. 6 at Position A (mobile): (a) the frequency
+// of symbol errors at each in-packet symbol position — revealing the
+// ~48-position periodicity induced by weak subcarriers — and (b) the
 // symbol error rate of each data subcarrier.
 //
 // Each packet is an independent point-task: the mobile channel is a pure
 // function of the transmit time t = p * 2 ms, so packet p needs no state
 // from packet p-1.
-func Fig6ErrorPattern(ctx context.Context, cfg Fig6Config) (*Result, error) {
+type fig6Tasks struct {
+	cfg Fig6Config
+}
+
+func newFig6Tasks(cfg Fig6Config) fig6Tasks {
 	cfg.setDefaults()
+	return fig6Tasks{cfg: cfg}
+}
+
+// fig6Record is one packet's error pattern (integer counts only); Assemble
+// merges the packets in index order.
+type fig6Record struct {
+	ErrorPositions []int             `json:"error_positions"`
+	SCErrors       [ofdm.NumData]int `json:"sc_errors"`
+	SCCounts       [ofdm.NumData]int `json:"sc_counts"`
+}
+
+func (f fig6Tasks) NumTasks() int { return scaled(f.cfg.Packets, f.cfg.Scale) }
+
+func (f fig6Tasks) RunTask(ctx context.Context, p int, rng *rand.Rand) (json.RawMessage, error) {
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
 		return nil, err
 	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-
-	perPacket := make([]fig6Packet, packets)
-	err = pool.ForEach(ctx, cfg.Workers, packets, cfg.Seed, func(p int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (variant 0 of the same geometry is the same draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionA, true, 0)
-		if err != nil {
-			return err
-		}
-		t := float64(p) * 2e-3 // back-to-back traffic at 2 ms spacing
-		scr := &trialScratch{}
-		pr, err := probe(scr, ch, t, mode, 1024, cfg.SNR, rng)
-		if err != nil {
-			return err
-		}
-		diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
-		if err != nil {
-			return err
-		}
-		perPacket[p].errorPositions = diag.ErrorPositions()
-		for d := 0; d < ofdm.NumData; d++ {
-			perPacket[p].scErrors[d] = diag.SubcarrierErrorCounts[d]
-			perPacket[p].scCounts[d] = diag.SymbolsPerSubcarrier[d]
-		}
-		return nil
-	})
+	// Per task: a channel model owns tap scratch, so point-tasks must not
+	// share one (variant 0 of the same geometry is the same draw).
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionA, true, 0)
 	if err != nil {
 		return nil, err
 	}
+	t := float64(p) * 2e-3 // back-to-back traffic at 2 ms spacing
+	pr, err := probe(&trialScratch{}, ch, t, mode, 1024, f.cfg.SNR, rng)
+	if err != nil {
+		return nil, err
+	}
+	diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	rec := fig6Record{
+		ErrorPositions: diag.ErrorPositions(),
+		SCErrors:       diag.SubcarrierErrorCounts,
+		SCCounts:       diag.SymbolsPerSubcarrier,
+	}
+	return json.Marshal(rec)
+}
 
-	posErrors := make([]int, cfg.Positions)
+func (f fig6Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	perPacket, err := decodeRecords[fig6Record](recs)
+	if err != nil {
+		return nil, err
+	}
+	packets := len(perPacket)
+	posErrors := make([]int, f.cfg.Positions)
 	var scErrors, scCounts [ofdm.NumData]int
 	for _, pkt := range perPacket {
-		for _, pos := range pkt.errorPositions {
-			if pos < cfg.Positions {
+		for _, pos := range pkt.ErrorPositions {
+			if pos >= 0 && pos < f.cfg.Positions {
 				posErrors[pos]++
 			}
 		}
 		for d := 0; d < ofdm.NumData; d++ {
-			scErrors[d] += pkt.scErrors[d]
-			scCounts[d] += pkt.scCounts[d]
+			scErrors[d] += pkt.SCErrors[d]
+			scCounts[d] += pkt.SCCounts[d]
 		}
 	}
 
@@ -124,7 +124,7 @@ func Fig6ErrorPattern(ctx context.Context, cfg Fig6Config) (*Result, error) {
 		YLabel: "error frequency / SER",
 	}
 	a := Series{Name: "ErrorFreqByPosition"}
-	for i := 0; i < cfg.Positions; i++ {
+	for i := 0; i < f.cfg.Positions; i++ {
 		a.X = append(a.X, float64(i+1))
 		a.Y = append(a.Y, float64(posErrors[i])/float64(packets))
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -10,7 +12,6 @@ import (
 	"cos/internal/modulation"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-	"cos/internal/pool"
 	"cos/internal/scenario"
 )
 
@@ -30,10 +31,6 @@ type Fig7Config struct {
 	Avg int
 	// Scale shrinks Draws.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -53,9 +50,6 @@ func (c *Fig7Config) setDefaults() {
 	}
 	if c.Scale == 0 {
 		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -93,7 +87,7 @@ func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float6
 	return dAcc, evmAcc, nil
 }
 
-// Fig7Temporal reproduces Fig. 7 in the indoor mobile scenario:
+// fig7Tasks reproduces Fig. 7 in the indoor mobile scenario:
 // (a) per-subcarrier EVM snapshots separated by time gap tau, showing the
 // channel's frequency signature persists across tens of milliseconds, and
 // (b) the CDF of the normalized EVM change (Eq. (2)) for each tau.
@@ -101,63 +95,78 @@ func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float6
 // The task list has two kinds of points: snapshot tasks 0..len(taus) for
 // part (a) — task 0 is the tau=0 baseline — and one task per (tau, draw)
 // pair for part (b), each measuring an independent D(t), D(t+tau) pair.
-func Fig7Temporal(ctx context.Context, cfg Fig7Config) (*Result, error) {
+type fig7Tasks struct {
+	cfg Fig7Config
+}
+
+func newFig7Tasks(cfg Fig7Config) fig7Tasks {
 	cfg.setDefaults()
+	return fig7Tasks{cfg: cfg}
+}
+
+// fig7Record is one task's outcome: a part (a) snapshot's EVM vector, or a
+// part (b) draw's nabla-EVM (finite: NablaEVM rejects a zero reference).
+type fig7Record struct {
+	EVM   []float64 `json:"evm,omitempty"`
+	Nabla float64   `json:"nabla,omitempty"`
+}
+
+func (f fig7Tasks) draws() int { return scaled(f.cfg.Draws, f.cfg.Scale) }
+
+func (f fig7Tasks) NumTasks() int {
+	return 1 + len(f.cfg.TausMs) + len(f.cfg.TausMs)*f.draws()
+}
+
+func (f fig7Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
 		return nil, err
 	}
-	draws := scaled(cfg.Draws, cfg.Scale)
-	taus := cfg.TausMs
-
-	const t0 = 0.050
-	snapshots := make([][]float64, 1+len(taus)) // part (a) EVM vectors
-	nablas := make([][]float64, len(taus))      // part (b) samples per tau
-	for ti := range nablas {
-		nablas[ti] = make([]float64, draws)
-	}
-	n := 1 + len(taus) + len(taus)*draws
-	err = pool.ForEach(ctx, cfg.Workers, n, cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (variant 0 of the same geometry is the same draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionC, true, 0)
-		if err != nil {
-			return err
-		}
-		if i <= len(taus) { // snapshot task for part (a)
-			t := t0
-			if i > 0 {
-				t += taus[i-1] / 1000
-			}
-			_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
-			if err != nil {
-				return err
-			}
-			snapshots[i] = evm
-			return nil
-		}
-		j := i - 1 - len(taus)
-		ti, di := j/draws, j%draws
-		tau := taus[ti]
-		t := 0.010 + float64(di)*0.0075
-		dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
-		if err != nil {
-			return err
-		}
-		dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, cfg.SNR, cfg.Avg, rng)
-		if err != nil {
-			return err
-		}
-		nabla, err := modulation.NablaEVM(dT, dTau)
-		if err != nil {
-			return err
-		}
-		nablas[ti][di] = nabla
-		return nil
-	})
+	taus := f.cfg.TausMs
+	// Per task: a channel model owns tap scratch, so point-tasks must not
+	// share one (variant 0 of the same geometry is the same draw).
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionC, true, 0)
 	if err != nil {
 		return nil, err
 	}
+	if i <= len(taus) { // snapshot task for part (a)
+		const t0 = 0.050
+		t := t0
+		if i > 0 {
+			t += taus[i-1] / 1000
+		}
+		_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, f.cfg.SNR, f.cfg.Avg, rng)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(fig7Record{EVM: evm})
+	}
+	j := i - 1 - len(taus)
+	tau := taus[j/f.draws()]
+	t := 0.010 + float64(j%f.draws())*0.0075
+	dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, f.cfg.SNR, f.cfg.Avg, rng)
+	if err != nil {
+		return nil, err
+	}
+	dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, f.cfg.SNR, f.cfg.Avg, rng)
+	if err != nil {
+		return nil, err
+	}
+	nabla, err := modulation.NablaEVM(dT, dTau)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(fig7Record{Nabla: nabla})
+}
+
+func (f fig7Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	all, err := decodeRecords[fig7Record](recs)
+	if err != nil {
+		return nil, err
+	}
+	taus := f.cfg.TausMs
+	snapshots := all[:1+len(taus)]
+	draws := all[1+len(taus):]
 
 	res := &Result{
 		ID:     "fig7",
@@ -169,16 +178,23 @@ func Fig7Temporal(ctx context.Context, cfg Fig7Config) (*Result, error) {
 	for _, tau := range taus {
 		names = append(names, "EVM tau="+fmtMs(tau))
 	}
-	for i, evm := range snapshots {
+	for i, snap := range snapshots {
+		if len(snap.EVM) != ofdm.NumData {
+			return nil, fmt.Errorf("experiments: fig7 snapshot %d carries %d EVM values, want %d", i, len(snap.EVM), ofdm.NumData)
+		}
 		s := Series{Name: names[i]}
 		for d := 0; d < ofdm.NumData; d++ {
 			s.X = append(s.X, float64(d+1))
-			s.Y = append(s.Y, 100*evm[d])
+			s.Y = append(s.Y, 100*snap.EVM[d])
 		}
 		res.Add(s)
 	}
 	for ti, tau := range taus {
-		cdf := dsp.EmpiricalCDF(nablas[ti])
+		nablas := make([]float64, f.draws())
+		for di := range nablas {
+			nablas[di] = draws[ti*f.draws()+di].Nabla
+		}
+		cdf := dsp.EmpiricalCDF(nablas)
 		s := Series{Name: "CDF tau=" + fmtMs(tau)}
 		for _, p := range cdf {
 			s.X = append(s.X, p.Value)

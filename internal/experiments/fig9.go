@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 
 	"cos/internal/channel"
 	icos "cos/internal/cos"
 	"cos/internal/phy"
-	"cos/internal/pool"
 	"cos/internal/scenario"
 )
 
@@ -25,10 +25,6 @@ type Fig9Config struct {
 	PSDULen int
 	// Scale shrinks PacketsPerTrial (PRR resolution degrades gracefully).
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -49,16 +45,13 @@ func (c *Fig9Config) setDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // maxSilenceBudget caps the binary search; beyond this the erasure load is
 // far past any code's correction capability for 1 KB packets.
 const maxSilenceBudget = 160
 
-// Fig9Capacity reproduces Fig. 9: Rm, the maximum number of silence symbols
+// fig9Tasks reproduces Fig. 9: Rm, the maximum number of silence symbols
 // per second sustainable at packet reception rate >= TargetPRR, as a
 // function of measured SNR, for the six modes the paper evaluates. Within a
 // mode's band Rm rises with SNR (more spare code redundancy); at each rate
@@ -68,52 +61,65 @@ const maxSilenceBudget = 160
 // Every (mode, SNR point) pair is an independent point-task — each runs its
 // own calibration and PRR binary search on a private RNG — so the sweep
 // parallelizes across the full mode grid.
-func Fig9Capacity(ctx context.Context, cfg Fig9Config) (*Result, error) {
-	cfg.setDefaults()
-	packets := scaled(cfg.PacketsPerTrial, cfg.Scale)
-	modes := phy.EvaluatedModes()
+type fig9Tasks struct {
+	cfg Fig9Config
+}
 
-	type point struct {
-		target float64
-		rm     float64
+func newFig9Tasks(cfg Fig9Config) fig9Tasks {
+	cfg.setDefaults()
+	return fig9Tasks{cfg: cfg}
+}
+
+// fig9Record is one (mode, SNR point) task's Rm in silence symbols per
+// second (finite: a budget over a fixed packet duration).
+type fig9Record struct {
+	Rm float64 `json:"rm"`
+}
+
+func (f fig9Tasks) NumTasks() int { return len(phy.EvaluatedModes()) * f.cfg.PointsPerMode }
+
+// target is point p's measured SNR inside mode mi's operating band: the
+// mode's threshold up to the next mode's (or +3 dB for the fastest).
+func (f fig9Tasks) target(modes []phy.Mode, mi, p int) float64 {
+	lo := modes[mi].MinSNRdB + 0.3
+	hi := modes[mi].MinSNRdB + 3
+	if mi+1 < len(modes) {
+		hi = modes[mi+1].MinSNRdB - 0.3
 	}
-	pts := make([]point, len(modes)*cfg.PointsPerMode)
-	err := pool.ForEach(ctx, cfg.Workers, len(pts), cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (the same variant is the same deterministic draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 3)
-		if err != nil {
-			return err
-		}
-		mi, p := i/cfg.PointsPerMode, i%cfg.PointsPerMode
-		scr := &trialScratch{}
-		mode := modes[mi]
-		// The mode's measured-SNR band: its threshold up to the next
-		// mode's (or +3 dB for the fastest).
-		lo := mode.MinSNRdB + 0.3
-		hi := mode.MinSNRdB + 3
-		if mi+1 < len(modes) {
-			hi = modes[mi+1].MinSNRdB - 0.3
-		}
-		target := lo
-		if cfg.PointsPerMode > 1 {
-			target = lo + (hi-lo)*float64(p)/float64(cfg.PointsPerMode-1)
-		}
-		actual, err := calibrateActualSNR(scr, ch, 0, mode, target, rng)
-		if err != nil {
-			return err
-		}
-		budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, cfg, packets, rng)
-		if err != nil {
-			return err
-		}
-		pts[i] = point{target: target, rm: icos.SilencesPerSecond(budget, mode, cfg.PSDULen)}
-		return nil
-	})
+	if f.cfg.PointsPerMode > 1 {
+		return lo + (hi-lo)*float64(p)/float64(f.cfg.PointsPerMode-1)
+	}
+	return lo
+}
+
+func (f fig9Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
+	// Per task: a channel model owns tap scratch, so point-tasks must not
+	// share one (the same variant is the same deterministic draw).
+	ch, err := trialChannel(f.cfg.Scenario, channel.PositionB, false, 3)
 	if err != nil {
 		return nil, err
 	}
+	modes := phy.EvaluatedModes()
+	mi, p := i/f.cfg.PointsPerMode, i%f.cfg.PointsPerMode
+	scr := &trialScratch{}
+	mode := modes[mi]
+	actual, err := calibrateActualSNR(scr, ch, 0, mode, f.target(modes, mi, p), rng)
+	if err != nil {
+		return nil, err
+	}
+	budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, f.cfg, scaled(f.cfg.PacketsPerTrial, f.cfg.Scale), rng)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(fig9Record{Rm: icos.SilencesPerSecond(budget, mode, f.cfg.PSDULen)})
+}
 
+func (f fig9Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
+	pts, err := decodeRecords[fig9Record](recs)
+	if err != nil {
+		return nil, err
+	}
+	modes := phy.EvaluatedModes()
 	res := &Result{
 		ID:     "fig9",
 		Title:  "Maximum silence symbols per second (Rm) vs measured SNR",
@@ -122,14 +128,13 @@ func Fig9Capacity(ctx context.Context, cfg Fig9Config) (*Result, error) {
 	}
 	for mi, mode := range modes {
 		s := Series{Name: modeLabel(mode)}
-		for p := 0; p < cfg.PointsPerMode; p++ {
-			pt := pts[mi*cfg.PointsPerMode+p]
-			s.X = append(s.X, pt.target)
-			s.Y = append(s.Y, pt.rm)
+		for p := 0; p < f.cfg.PointsPerMode; p++ {
+			s.X = append(s.X, f.target(modes, mi, p))
+			s.Y = append(s.Y, pts[mi*f.cfg.PointsPerMode+p].Rm)
 		}
 		res.Add(s)
 	}
-	res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", cfg.TargetPRR, packets)
+	res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", f.cfg.TargetPRR, scaled(f.cfg.PacketsPerTrial, f.cfg.Scale))
 	return res, nil
 }
 

@@ -47,8 +47,7 @@ func freqResponse(model scenario.ChannelModel, t float64) ([ofdm.NumSubcarriers]
 // transmit/receive scratch arenas plus every buffer the trial harness
 // needs between packets. One scratch serves one point-task; results
 // returned by probe and runCoSTrial alias it and are valid only until its
-// next use. A nil scratch is accepted everywhere and means fresh
-// allocation (the pre-arena behaviour).
+// next use.
 type trialScratch struct {
 	tx       phy.TxScratch
 	rx       phy.RxScratch
@@ -77,9 +76,6 @@ type probeResult struct {
 }
 
 func probe(s *trialScratch, ch scenario.ChannelModel, t float64, mode phy.Mode, psduLen int, actualSNR float64, rng *rand.Rand) (*probeResult, error) {
-	if s == nil {
-		s = &trialScratch{}
-	}
 	if cap(s.psdu) < psduLen {
 		s.psdu = make([]byte, psduLen)
 	}
@@ -168,9 +164,6 @@ type cosTrialResult struct {
 // message sized to produce exactly cfg.silences silence symbols, then runs
 // the full receive pipeline, all through s's scratch arenas.
 func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64, cfg cosTrialConfig, rng *rand.Rand) (*cosTrialResult, error) {
-	if s == nil {
-		s = &trialScratch{}
-	}
 	n := cfg.psduLen - bits.FCSLen
 	if cap(s.payload) < n {
 		s.payload = make([]byte, n)

@@ -7,41 +7,28 @@ import (
 	"time"
 )
 
-// assertIdenticalAcrossWorkers runs one experiment at several worker counts
-// and requires byte-identical CSV output — the engine's core determinism
-// contract (per-task RNGs derived as seed^index, results reassembled in
-// index order).
-func assertIdenticalAcrossWorkers(t *testing.T, id string, opts RunOptions) {
-	t.Helper()
-	ctx := context.Background()
-	opts.Workers = 1
-	serial, err := Run(ctx, id, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestParallelMatchesSerial runs every experiment serially and on three
+// workers and requires byte-identical CSV output — the engine's core
+// determinism contract (per-task RNGs derived as seed^index, results
+// reassembled in index order).
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			opts := RunOptions{Scale: quickScale, Workers: 1}
+			serial, err := Run(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers = 3
+			par, err := Run(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := par.String(), serial.String(); got != want {
+				t.Errorf("workers=3 output differs from serial\nserial:\n%.400s\nparallel:\n%.400s", want, got)
+			}
+		})
 	}
-	want := serial.String()
-	for _, w := range []int{2, 4, 7} {
-		opts.Workers = w
-		par, err := Run(ctx, id, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if got := par.String(); got != want {
-			t.Errorf("workers=%d output differs from serial\nserial:\n%.400s\nparallel:\n%.400s", w, want, got)
-		}
-	}
-}
-
-func TestParallelMatchesSerialFig3(t *testing.T) {
-	assertIdenticalAcrossWorkers(t, "fig3", RunOptions{Scale: 0.1})
-}
-
-func TestParallelMatchesSerialFig10c(t *testing.T) {
-	assertIdenticalAcrossWorkers(t, "fig10c", RunOptions{Scale: tinyScale})
-}
-
-func TestParallelMatchesSerialFig2(t *testing.T) {
-	assertIdenticalAcrossWorkers(t, "fig2", RunOptions{Scale: 0.5})
 }
 
 // Cancelling mid-sweep must surface ctx.Err() promptly from every runner,

@@ -5,23 +5,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cos/internal/pool"
 )
 
 // A TaskSet is a figure decomposed into independent, serializable
-// point-tasks. It is the network-portable form of the closure slice the
-// worker pool already runs: every task is addressed by its index, draws
-// only from the private RNG handed to it (pool.TaskRNG(seed, i)), and
-// returns a JSON record instead of writing into shared state. Assemble
-// folds the records — in index order — back into the figure's Result.
+// point-tasks. Every experiment is one: a task is addressed by its index,
+// draws only from the private RNG handed to it (pool.TaskRNG(seed, i)),
+// and returns a JSON record instead of writing into shared state.
+// Assemble folds the records — in index order — back into the figure's
+// Result.
 //
 // The contract that makes remote execution byte-identical to local:
 // RunTask(i) is a pure function of (TaskSet construction inputs, i, the
 // task seed), and Go's float64 JSON round-trip is exact, so a record
 // computed on another host and shipped back through NDJSON unmarshals to
-// the same values the in-process closure would have produced.
+// the same values the in-process task would have produced. Records carry
+// only finite floats (json.Marshal rejects NaN and ±Inf): ratios whose
+// denominator can vanish are formed in Assemble, never in a record.
+//
+// Constructing a TaskSet only parameterizes it: it runs no simulation, so
+// NumTasks is cheap (serve's admission builds one to bound the task
+// index). A figure whose points share a calibration prelude recomputes it
+// inside RunTask from the seed, memoised once per TaskSet value.
 type TaskSet interface {
 	// NumTasks returns the task count; valid indices are [0, NumTasks).
 	NumTasks() int
@@ -42,42 +48,10 @@ type Executor interface {
 	ExecTasks(ctx context.Context, id string, opts RunOptions, n int) ([]json.RawMessage, error)
 }
 
-// taskRegistry maps the experiment IDs that decompose into serializable
-// point-tasks to their TaskSet constructors. Figures whose tasks carry
-// non-trivial shared state stay registry-only and run whole (the fleet
-// ships those as single figure jobs instead).
-var taskRegistry = map[string]func(RunOptions) TaskSet{
-	"fig2": func(o RunOptions) TaskSet { return fig2Tasks{cfg: fig2ConfigFrom(o)} },
-	"fig3": func(o RunOptions) TaskSet { return fig3Tasks{cfg: fig3ConfigFrom(o)} },
-}
-
-// TaskIDs lists the experiment IDs that decompose into point-tasks, in
-// sorted order (a subset of IDs()).
-func TaskIDs() []string {
-	out := make([]string, 0, len(taskRegistry))
-	for id := range taskRegistry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tasks returns figure id's point-task decomposition under opts, or false
-// when the figure does not decompose. The same opts always yield the same
-// decomposition (task count and per-task behavior), on every host.
-func Tasks(id string, opts RunOptions) (TaskSet, bool) {
-	mk, ok := taskRegistry[id]
-	if !ok {
-		return nil, false
-	}
-	return mk(opts), true
-}
-
 // runTasks executes a TaskSet and assembles its Result. With opts.Exec
 // set, the executor owns task execution (the records come back over the
-// wire); otherwise the tasks run on the in-process pool exactly as the
-// pre-TaskSet closures did — same worker semantics, same per-task seeds,
-// same lowest-index-error rule.
+// wire); otherwise the tasks run on the in-process pool with opts.Workers
+// goroutines — same per-task seeds, same lowest-index-error rule.
 func runTasks(ctx context.Context, id string, opts RunOptions, ts TaskSet) (*Result, error) {
 	n := ts.NumTasks()
 	var recs []json.RawMessage
@@ -109,3 +83,18 @@ func runTasks(ctx context.Context, id string, opts RunOptions, ts TaskSet) (*Res
 	}
 	return ts.Assemble(recs)
 }
+
+// decodeRecords unmarshals every task record into a T, in task order.
+func decodeRecords[T any](recs []json.RawMessage) ([]T, error) {
+	out := make([]T, len(recs))
+	for i, raw := range recs {
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			return nil, fmt.Errorf("experiments: task %d record: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// emptyRecord is the record of a reserved task slot (a calibration
+// prelude's index, kept so the other tasks' seeds do not move).
+var emptyRecord = json.RawMessage(`{}`)

@@ -24,7 +24,7 @@ func (e *replayExecutor) ExecTasks(ctx context.Context, id string, opts RunOptio
 		// rebuilds its world from the spec alone.
 		ts, ok := Tasks(id, opts)
 		if !ok {
-			e.t.Fatalf("figure %q lost its decomposition mid-run", id)
+			e.t.Fatalf("unknown figure %q", id)
 		}
 		seed := opts.Seed
 		if seed == 0 {
@@ -40,17 +40,14 @@ func (e *replayExecutor) ExecTasks(ctx context.Context, id string, opts RunOptio
 }
 
 // TestExecutorPathMatchesLocal pins the seam the fleet plugs into: every
-// task-decomposable figure renders byte-identical CSV whether its records
-// come from the in-process pool or from an Executor.
+// figure renders byte-identical CSV whether its records come from the
+// in-process pool or from an Executor that rebuilds the TaskSet per task
+// (so a figure's shared prelude is recomputed by every task, as on a
+// fleet, instead of memoised once).
 func TestExecutorPathMatchesLocal(t *testing.T) {
-	ids := TaskIDs()
-	if len(ids) == 0 {
-		t.Fatal("no task-decomposable figures registered")
-	}
-	for _, id := range ids {
-		id := id
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			opts := RunOptions{Scale: 0.3, Workers: 1, Seed: 1}
+			opts := RunOptions{Scale: quickScale, Seed: 1}
 			local, err := Run(context.Background(), id, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -72,28 +69,21 @@ func TestExecutorPathMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestTaskIDsAreRegisteredFigures: every decomposable figure is also a
-// registered experiment, and Tasks agrees with TaskIDs about membership.
-func TestTaskIDsAreRegisteredFigures(t *testing.T) {
-	known := map[string]bool{}
+// TestEveryFigureDecomposes: every registered experiment has a TaskSet
+// with at least one task, and Tasks refuses unknown IDs.
+func TestEveryFigureDecomposes(t *testing.T) {
 	for _, id := range IDs() {
-		known[id] = true
-	}
-	for _, id := range TaskIDs() {
-		if !known[id] {
-			t.Errorf("TaskIDs lists %q, which is not a registered figure", id)
-		}
 		ts, ok := Tasks(id, RunOptions{Scale: 0.3, Seed: 1})
 		if !ok {
-			t.Errorf("Tasks(%q) = !ok despite TaskIDs listing it", id)
+			t.Errorf("Tasks(%q) = !ok for a registered figure", id)
 			continue
 		}
-		if n := ts.NumTasks(); n < 2 {
-			t.Errorf("figure %q decomposes into %d tasks; want at least 2 for a fleet to matter", id, n)
+		if n := ts.NumTasks(); n < 1 {
+			t.Errorf("figure %q decomposes into %d tasks", id, n)
 		}
 	}
-	if _, ok := Tasks("fig10a", RunOptions{}); ok {
-		t.Error("Tasks accepted a figure with no decomposition")
+	if _, ok := Tasks("nope", RunOptions{}); ok {
+		t.Error("Tasks accepted an unknown figure")
 	}
 }
 
@@ -104,7 +94,7 @@ func TestExecutorShortCount(t *testing.T) {
 		Exec: executorFunc(func(ctx context.Context, id string, o RunOptions, n int) ([]json.RawMessage, error) {
 			return make([]json.RawMessage, n-1), nil
 		})}
-	if _, err := Run(context.Background(), TaskIDs()[0], opts); err == nil {
+	if _, err := Run(context.Background(), "fig2", opts); err == nil {
 		t.Fatal("a short record set assembled without error")
 	}
 }

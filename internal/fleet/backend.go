@@ -125,8 +125,12 @@ func (b *httpBackend) Health(ctx context.Context) error {
 	return nil
 }
 
-// Run submits the spec, waits for the job to settle, and streams the
-// result body. A cache hit on the server returns immediately.
+// Run submits the spec, reads the job's result stream — GET
+// /jobs/{id}/result blocks until the job is terminal — and then settles
+// the outcome with one status call. The stream ending implies a terminal
+// state: a job records its final state before it closes its result
+// buffer. A cache hit on the server is terminal at submission, so no
+// status call follows.
 func (b *httpBackend) Run(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	st, err := b.c.Submit(ctx, spec, client.SubmitOptions{})
 	if err != nil {
@@ -136,24 +140,26 @@ func (b *httpBackend) Run(ctx context.Context, spec serve.Spec) ([]byte, error) 
 		}
 		return nil, err
 	}
+	body, err := b.c.ResultBytes(ctx, st.ID)
+	if err != nil {
+		return nil, err
+	}
 	if !st.Terminal {
-		if st, err = b.c.Wait(ctx, st.ID); err != nil {
+		if st, err = b.c.Status(ctx, st.ID); err != nil {
 			return nil, err
 		}
 	}
-	return settle(ctx, b.name, st.ID, st.State, st.Error, func(ctx context.Context) ([]byte, error) {
-		return b.c.ResultBytes(ctx, st.ID)
-	})
+	return settle(b.name, st.ID, st.State, st.Error, body)
 }
 
 // settle maps a terminal job state onto the Backend.Run contract: done
-// streams the body, failed is permanent, cancelled (a drain window closing
+// returns the body, failed is permanent, cancelled (a drain window closing
 // over the job, or an operator) is transient — the task re-runs elsewhere
 // and, results being content-addressed, produces the same bytes.
-func settle(ctx context.Context, backend, jobID, state, errMsg string, read func(context.Context) ([]byte, error)) ([]byte, error) {
+func settle(backend, jobID, state, errMsg string, body []byte) ([]byte, error) {
 	switch state {
 	case serve.StateDone.String():
-		return read(ctx)
+		return body, nil
 	case serve.StateFailed.String():
 		return nil, &JobError{Backend: backend, Job: jobID, Message: errMsg}
 	default:
@@ -241,8 +247,10 @@ func (l *Loopback) Run(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	if l.dead() {
 		return nil, fmt.Errorf("%w: %s", ErrBackendDown, l.name)
 	}
+	body, err := io.ReadAll(job.Result())
+	if err != nil {
+		return nil, err
+	}
 	st := job.Status()
-	return settle(ctx, l.name, job.ID(), st.State, st.Error, func(context.Context) ([]byte, error) {
-		return io.ReadAll(job.Result())
-	})
+	return settle(l.name, job.ID(), st.State, st.Error, body)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"cos/internal/serve"
 	"cos/internal/serve/cache"
 	"cos/internal/serve/client"
+	servehttp "cos/internal/serve/http"
 )
 
 func newServer(t testing.TB, cfg serve.Config) *serve.Server {
@@ -299,23 +301,77 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 	}
 }
 
-// TestWholeFigureFallback: a figure with no point-task decomposition runs
-// as one job on one backend and decodes back byte-identical.
-func TestWholeFigureFallback(t *testing.T) {
-	opts := experiments.RunOptions{Scale: 0.05, Workers: 1, Seed: 1}
-	local, err := experiments.Run(context.Background(), "fig10a", opts)
+// TestRunFigureMatchesLocal: every experiment fans out through two
+// backends point-task by point-task and renders CSV byte-identical to a
+// local serial experiments.Run — including the figures whose tasks share
+// a calibration prelude, which every remote task recomputes.
+func TestRunFigureMatchesLocal(t *testing.T) {
+	c := New(Config{Backends: []Backend{newLoopback(t, "a"), newLoopback(t, "b")}, Backoff: fastBackoff()})
+	defer c.Close()
+	for _, id := range experiments.IDs() {
+		t.Run(id, func(t *testing.T) {
+			opts := experiments.RunOptions{Scale: 0.01, Workers: 1, Seed: 3}
+			local, err := experiments.Run(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.RunFigure(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.String(), local.String(); got != want {
+				t.Errorf("fleet CSV differs from local run:\n--- local ---\n%s--- fleet ---\n%s", want, got)
+			}
+		})
+	}
+}
+
+// newHost serves a fresh cos-serve core over HTTP and returns it as a
+// Backend on the typed client.
+func newHost(t *testing.T, name string) Backend {
+	t.Helper()
+	ts := httptest.NewServer(servehttp.NewHandler(newServer(t, serve.Config{Shards: 1})))
+	t.Cleanup(ts.Close)
+	return FromClient(name, client.New(ts.URL))
+}
+
+// TestHostBackendStreamsThenSettles drives the HTTP backend: it reads the
+// result stream to its end and settles the job with one status call — a
+// done job yields the reference body (again on the cache-hit path), a
+// failed job a permanent *JobError — and a figure fanned out over two
+// hosts matches a local run.
+func TestHostBackendStreamsThenSettles(t *testing.T) {
+	ctx := context.Background()
+	h := newHost(t, "h")
+	want := referenceBodies(t, []serve.Spec{linkSpec(1)})[0]
+	for pass := 0; pass < 2; pass++ { // cold, then served from the cache
+		body, err := h.Run(ctx, linkSpec(1))
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("pass %d: body differs from the reference run", pass)
+		}
+	}
+	doomed := serve.Spec{Kind: serve.KindLink, Seed: 5, PayloadBytes: 256, Packets: 200_000, ControlBits: 32, TimeoutMS: 1}
+	var jobErr *JobError
+	if _, err := h.Run(ctx, doomed); !errors.As(err, &jobErr) || jobErr.Job == "" {
+		t.Fatalf("doomed job: err = %v; want a *JobError naming the job", err)
+	}
+
+	c := New(Config{Backends: []Backend{h, newHost(t, "h2")}, Backoff: fastBackoff()})
+	defer c.Close()
+	opts := experiments.RunOptions{Scale: 0.02, Workers: 1, Seed: 2}
+	local, err := experiments.Run(ctx, "fig7", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	c := New(Config{Backends: []Backend{newLoopback(t, "lo")}, Backoff: fastBackoff()})
-	defer c.Close()
-	res, err := c.RunFigure(context.Background(), "fig10a", experiments.RunOptions{Scale: 0.05, Workers: 1, Seed: 1})
+	res, err := c.RunFigure(ctx, "fig7", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := res.String(), local.String(); got != want {
-		t.Errorf("fallback CSV differs from local run:\n--- local ---\n%s--- fleet ---\n%s", want, got)
+		t.Errorf("fleet CSV differs from local run:\n--- local ---\n%s--- fleet ---\n%s", want, got)
 	}
 }
 

@@ -37,7 +37,6 @@ type config struct {
 	thresholdFactor  float64
 	silenceBudget    int
 	adaptiveBudget   bool
-	interferer       *channel.PulseInterferer
 	packetInterval   float64
 	disableCoS       bool
 	explicitFeedback bool
@@ -186,23 +185,6 @@ func WithScenario(name string, params ...float64) Option {
 			return &ConfigError{Option: "WithScenario", Reason: err.Error(), Err: err}
 		}
 		c.scenario = sc
-		return nil
-	}
-}
-
-// WithInterference adds a pulse interferer to the link (Fig. 10(d)). It
-// overrides the scenario's interferer when both are configured.
-//
-// Deprecated: WithInterference predates the scenario registry; use
-// WithScenario("pulse", power, burstLen, startProb), which configures an
-// identical link. It is kept as a thin wrapper for compatibility.
-func WithInterference(power float64, burstLen int, startProb float64) Option {
-	return func(c *config) error {
-		p := &channel.PulseInterferer{Power: power, BurstLen: burstLen, StartProb: startProb}
-		if err := p.Validate(); err != nil {
-			return &ConfigError{Option: "WithInterference", Reason: err.Error(), Err: err}
-		}
-		c.interferer = p
 		return nil
 	}
 }
