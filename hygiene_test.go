@@ -1,10 +1,12 @@
 package cos
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -157,4 +159,92 @@ func moduleImports(t *testing.T, module string) map[string]map[string]bool {
 		t.Fatal(err)
 	}
 	return imports
+}
+
+// TestNoForkedIntoTwins keeps one body per PHY primitive. Where a function
+// or method X has a scratch-reuse sibling XInto (same receiver), XInto is
+// the implementation and X must be a thin wrapper over it: a loop in X's
+// body means the algorithm has been written twice, and the unit tests of
+// X would no longer exercise the code the hot path runs.
+func TestNoForkedIntoTwins(t *testing.T) {
+	dirs := []string{
+		"internal/bits",
+		"internal/coding",
+		"internal/modulation",
+		"internal/ofdm",
+		"internal/channel",
+		"internal/cos",
+		"internal/phy",
+	}
+	var offenders []string
+	for _, dir := range dirs {
+		offenders = append(offenders, forkedIntoTwins(t, dir)...)
+	}
+	sort.Strings(offenders)
+	for _, o := range offenders {
+		t.Errorf("%s loops although it has an Into sibling; make it a wrapper over the Into form", o)
+	}
+}
+
+// forkedIntoTwins returns "dir.Recv.X" for every X in the package at dir
+// that has an XInto sibling on the same receiver and whose body contains a
+// for or range statement.
+func forkedIntoTwins(t *testing.T, dir string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ recv, name string }
+	funcs := map[key]*ast.FuncDecl{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				funcs[key{receiverName(fd), fd.Name.Name}] = fd
+			}
+		}
+	}
+	var out []string
+	for k, fd := range funcs {
+		if _, ok := funcs[key{k.recv, k.name + "Into"}]; !ok {
+			continue
+		}
+		loops := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.ForStmt, *ast.RangeStmt:
+				loops = true
+			}
+			return !loops
+		})
+		if loops {
+			out = append(out, strings.TrimPrefix(dir, "internal/")+"."+strings.TrimPrefix(k.recv+"."+k.name, "."))
+		}
+	}
+	return out
+}
+
+// receiverName returns the receiver's type name without the pointer ("" for
+// functions).
+func receiverName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return ""
+	}
+	expr := fd.Recv.List[0].Type
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
+	}
+	if id, ok := expr.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

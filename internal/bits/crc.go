@@ -11,10 +11,7 @@ const FCSLen = 4
 // AppendFCS returns data with the IEEE CRC-32 frame check sequence appended
 // (little-endian, per 802.11 octet ordering).
 func AppendFCS(data []byte) []byte {
-	out := make([]byte, len(data)+FCSLen)
-	copy(out, data)
-	binary.LittleEndian.PutUint32(out[len(data):], crc32.ChecksumIEEE(data))
-	return out
+	return AppendFCSInto(nil, data)
 }
 
 // CheckFCS verifies the trailing frame check sequence of frame and returns

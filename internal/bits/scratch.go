@@ -6,9 +6,15 @@ import (
 	"hash/crc32"
 )
 
-// Scratch-reuse variants: each writes into a caller-owned destination slice,
+// Scratch-reuse forms: each writes into a caller-owned destination slice,
 // growing it only when its capacity is insufficient, and returns the
 // (possibly re-sliced) destination. Destinations must not alias inputs.
+//
+// One body per primitive: these Into forms are the implementation, and
+// FromBytes, ToBytes, Scramble and AppendFCS are one-line wrappers over
+// them, so the unit tests run the production code. Where the allocating
+// form returns a non-nil empty slice on empty input, its wrapper passes
+// []byte{} as the destination.
 
 func grow(s []byte, n int) []byte {
 	if cap(s) < n {

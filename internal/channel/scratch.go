@@ -7,7 +7,9 @@ import (
 	"cos/internal/ofdm"
 )
 
-// Scratch-reuse variants of the channel operators. TapsInto / ConvolveInto /
+// Scratch-reuse forms of the channel operators, and the one body of each:
+// Taps, Convolve, FrequencyResponse and Apply are one-line wrappers over
+// them, so the unit tests run the production code. TapsInto / ConvolveInto /
 // ApplyTo write into caller-owned buffers, growing them only when capacity is
 // insufficient; FrequencyResponseFrom turns an already-computed tap vector
 // into H[k] without re-evaluating the Doppler processes. Tap evaluation draws

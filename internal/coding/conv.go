@@ -9,10 +9,7 @@
 // traceback are the standard Viterbi algorithm, unchanged.
 package coding
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Convolutional code parameters fixed by IEEE 802.11a (17.3.5.5).
 const (
@@ -39,17 +36,7 @@ func parity(x uint) byte {
 // callers wanting a terminated trellis must append TailBits zero bits to in
 // (the PHY layer does this as part of padding).
 func ConvEncode(in []byte) ([]byte, error) {
-	out := make([]byte, 0, 2*len(in))
-	state := uint(0) // 6 most recent input bits; bit 5 is the newest.
-	for i, b := range in {
-		if b > 1 {
-			return nil, fmt.Errorf("coding: input element %d = %d is not a bit", i, b)
-		}
-		window := uint(b)<<6 | state
-		out = append(out, parity(window&GeneratorA), parity(window&GeneratorB))
-		state = window >> 1
-	}
-	return out, nil
+	return ConvEncodeInto([]byte{}, in)
 }
 
 // branch describes one trellis transition used by the Viterbi decoder.

@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
-// Scratch-reuse variants of the coding chain. Each XxxInto function writes
+// Scratch-reuse forms of the coding chain. Each XxxInto function writes
 // into a caller-owned destination slice, growing it only when its capacity is
 // insufficient, and returns the (possibly re-sliced) destination. The
-// destination must not alias the input. All functions compute exactly what
-// their allocating counterparts do.
+// destination must not alias the input.
+//
+// One body per primitive: these Into forms are the implementation, and
+// ConvEncode, Puncture, DepunctureMetrics, Interleave and Deinterleave are
+// one-line wrappers over them, so the unit tests run the production code.
+// The wrappers pass a non-nil empty destination, keeping their non-nil
+// result on empty input.
 
 func growBytes(s []byte, n int) []byte {
 	if cap(s) < n {

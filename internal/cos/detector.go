@@ -98,34 +98,7 @@ func (d Detector) Threshold(fe *phy.FrontEnd, sc int) (float64, error) {
 // returns the detected silence mask ([symbol][48]; non-control subcarriers
 // are always false).
 func (d Detector) DetectMask(fe *phy.FrontEnd, ctrlSCs []int) ([][]bool, error) {
-	if err := validateCtrlSCs(ctrlSCs); err != nil {
-		return nil, err
-	}
-	ths := make([]float64, len(ctrlSCs))
-	for i, sc := range ctrlSCs {
-		th, err := d.Threshold(fe, sc)
-		if err != nil {
-			return nil, err
-		}
-		ths[i] = th
-	}
-	mask := NewMask(fe.NumSymbols())
-	silent := 0
-	for s := 0; s < fe.NumSymbols(); s++ {
-		for i, sc := range ctrlSCs {
-			y, err := fe.Bins[s].DataValue(sc)
-			if err != nil {
-				return nil, err
-			}
-			if dsp.MagSq(y) < ths[i] {
-				mask[s][sc] = true
-				silent++
-			}
-		}
-	}
-	mDetectorScans.Add(uint64(fe.NumSymbols() * len(ctrlSCs)))
-	mDetectorSilences.Add(uint64(silent))
-	return mask, nil
+	return d.DetectMaskInto([][]bool{}, fe, ctrlSCs)
 }
 
 // DetectSymbol scans all 48 data subcarriers of one payload symbol and

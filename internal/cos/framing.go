@@ -1,7 +1,5 @@
 package cos
 
-import "fmt"
-
 // The paper's control messages are raw bit strings: the receiver has no way
 // to tell a corrupted message from a good one (a single detection error
 // shifts every subsequent interval). This file adds the minimal framing a
@@ -39,24 +37,7 @@ func crc8Bits(bits []byte) byte {
 // The result's length is a multiple of nothing in particular; callers pad
 // to the interval codec's k with PadToInterval.
 func FrameControl(payload []byte) ([]byte, error) {
-	if len(payload) > MaxFramedPayloadBits {
-		return nil, fmt.Errorf("cos: control payload %d bits exceeds the %d-bit framing limit", len(payload), MaxFramedPayloadBits)
-	}
-	for i, b := range payload {
-		if b > 1 {
-			return nil, fmt.Errorf("cos: payload element %d = %d is not a bit", i, b)
-		}
-	}
-	out := make([]byte, 0, 8+len(payload)+8)
-	for i := 7; i >= 0; i-- {
-		out = append(out, byte((len(payload)>>i)&1))
-	}
-	out = append(out, payload...)
-	crc := crc8Bits(out)
-	for i := 7; i >= 0; i-- {
-		out = append(out, (crc>>i)&1)
-	}
-	return out, nil
+	return FrameControlInto(nil, payload)
 }
 
 // ParseControl validates and unwraps a framed control message from the
@@ -90,15 +71,7 @@ func ParseControl(bits []byte) (payload []byte, ok bool) {
 // so it fits the interval codec. The length header makes the padding
 // self-delimiting.
 func PadToInterval(bits []byte, k int) ([]byte, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("cos: k = %d", k)
-	}
-	out := make([]byte, len(bits), len(bits)+k)
-	copy(out, bits)
-	for len(out)%k != 0 {
-		out = append(out, 0)
-	}
-	return out, nil
+	return PadToIntervalInto([]byte{}, bits, k)
 }
 
 // FramedBits returns the on-air bit cost of a payload of n bits with

@@ -8,10 +8,17 @@ import (
 	"cos/internal/phy"
 )
 
-// Scratch-reuse variants of the CoS embed/extract chain. Each XxxInto
+// Scratch-reuse forms of the CoS embed/extract chain. Each XxxInto
 // function writes into a caller-owned destination, growing it only when its
-// capacity is insufficient, and computes exactly what its allocating
-// counterpart does. Destinations must not alias inputs.
+// capacity is insufficient. Destinations must not alias inputs.
+//
+// One body per primitive: these Into forms are the implementation, and
+// EncodeIntervals, DecodeIntervals, Layout, ExtractIntervals,
+// InsertSilences, FrameControl, PadToInterval and Detector.DetectMask are
+// one-line wrappers over them, so the unit tests run the production code.
+// Where the allocating form returns a non-nil empty result on empty input,
+// its wrapper passes a non-nil empty destination; ExtractIntervals passes
+// nil, so a silence-free mask yields nil.
 
 // GrowMask reshapes mask to numSymbols all-false rows of ofdm.NumData
 // entries, reusing row storage where possible.
@@ -76,8 +83,8 @@ func EncodeIntervalsInto(dst []int, controlBits []byte, k int) ([]int, error) {
 	return dst, nil
 }
 
-// DecodeIntervalsInto is DecodeIntervals writing into dst. Like
-// DecodeIntervals, the result is non-nil even when intervals is empty.
+// DecodeIntervalsInto is DecodeIntervals writing into dst. For empty
+// intervals the result is dst[:0], so it is nil when dst is nil.
 func DecodeIntervalsInto(dst []byte, intervals []int, k int) ([]byte, error) {
 	if k < 1 || k > 16 {
 		return nil, fmt.Errorf("cos: bits per interval %d out of range [1,16]", k)
@@ -145,10 +152,10 @@ func InsertSilencesInto(mask [][]bool, grid *ofdm.Grid, positions []Pos) ([][]bo
 	return mask, nil
 }
 
-// ExtractIntervalsInto is ExtractIntervals writing into dst. Unlike
-// ExtractIntervals (which returns nil for a silence-free mask), the result
-// is dst resliced to the interval count, so it may be empty and non-nil;
-// callers that only inspect length and contents see identical behaviour.
+// ExtractIntervalsInto is ExtractIntervals writing into dst. The result is
+// dst resliced to the interval count, so for a silence-free mask it is nil
+// only when dst is nil (as in ExtractIntervals); callers that only inspect
+// length and contents see identical behaviour either way.
 func ExtractIntervalsInto(dst []int, mask [][]bool, ctrlSCs []int) ([]int, error) {
 	if err := validateCtrlSCs(ctrlSCs); err != nil {
 		return nil, err

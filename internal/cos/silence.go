@@ -1,8 +1,6 @@
 package cos
 
 import (
-	"fmt"
-
 	"cos/internal/ofdm"
 	"cos/internal/phy"
 )
@@ -13,14 +11,7 @@ import (
 // returns the erasure mask in the [symbol][subcarrier] layout the decoder
 // and diagnostics consume.
 func InsertSilences(grid *ofdm.Grid, positions []Pos) ([][]bool, error) {
-	mask := NewMask(grid.NumSymbols())
-	for _, p := range positions {
-		if err := grid.Set(p.Sym, p.SC, 0); err != nil {
-			return nil, fmt.Errorf("cos: silence at %+v: %w", p, err)
-		}
-		mask[p.Sym][p.SC] = true
-	}
-	return mask, nil
+	return InsertSilencesInto([][]bool{}, grid, positions)
 }
 
 // NewMask allocates an all-false [numSymbols][48] mask.

@@ -59,28 +59,28 @@ func RunFrontEnd(samples []complex128) (*FrontEnd, error) {
 // the first post-preamble OFDM symbol: 0 when that symbol is the SIGNAL
 // field, 1 when the payload follows the preamble directly.
 func RunFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
-	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
-		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
-	}
-	// Instrumentation stays in this wrapper: a timer held live across the
-	// estimation loops costs the inner function registers (see
-	// coding.Viterbi.Decode for the measurement).
-	start := time.Now()
-	fe, err := runFrontEndAt(samples, firstPilotIndex)
-	if err != nil {
+	fe := &FrontEnd{}
+	if err := runFrontEnd(fe, samples, firstPilotIndex); err != nil {
 		return nil, err
 	}
-	mRxFrontEnds.Inc()
-	mRxFrontEndSeconds.ObserveSince(start)
 	return fe, nil
 }
 
-func runFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
-	fe := &FrontEnd{}
-	if err := frontEndInto(fe, samples, firstPilotIndex); err != nil {
-		return nil, err
+// runFrontEnd is the one front-end entry every exported form goes through:
+// the length check, frontEndInto, and the instrumentation. The timer stays
+// in this wrapper: held live across the estimation loops it would cost the
+// inner function registers (see coding.Viterbi.Decode for the measurement).
+func runFrontEnd(fe *FrontEnd, samples []complex128, firstPilotIndex int) error {
+	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
+		return fmt.Errorf("phy: packet too short: %d samples", len(samples))
 	}
-	return fe, nil
+	start := time.Now()
+	if err := frontEndInto(fe, samples, firstPilotIndex); err != nil {
+		return err
+	}
+	mRxFrontEnds.Inc()
+	mRxFrontEndSeconds.ObserveSince(start)
+	return nil
 }
 
 // frontEndInto fills fe from samples, reusing the capacity of fe.Bins and

@@ -9,6 +9,13 @@ import (
 	"cos/internal/ofdm"
 )
 
+// Scratch-reuse forms of the PHY entry points. One body per primitive:
+// BuildPacketInto, SamplesInto, ReconstructGridInto and RunFrontEndInto (with
+// FrontEnd.DecodeInto, EqualizedInto and SubcarrierSNRsInto in rx.go) are
+// the implementation, and BuildPacket, Samples, ReconstructGrid and the
+// RunFrontEnd forms are thin wrappers that pass fresh storage, so the
+// unit tests run the production code.
+
 // preambleSamples caches the (fixed) 320-sample PLCP preamble so SamplesInto
 // never rebuilds it.
 var preambleSamples = ofdm.Preamble()
@@ -32,8 +39,8 @@ type TxScratch struct {
 
 // BuildPacketInto is BuildPacket using s as working storage; the returned
 // packet aliases s and is valid until the next build with the same scratch.
-// A nil s builds into fresh storage, making BuildPacketInto(nil, cfg, psdu)
-// equivalent to BuildPacket(cfg, psdu).
+// A nil s builds into fresh storage: BuildPacket is BuildPacketInto(nil,
+// cfg, psdu).
 func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error) {
 	if s == nil {
 		s = &TxScratch{}
@@ -41,8 +48,10 @@ func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Instrumentation mirrors BuildPacket so metric counts do not depend on
-	// which entry point built the packet.
+	// Instrumentation stays in this wrapper, outside buildPacketInto
+	// (register pressure, see coding.Viterbi.Decode). Every build entry
+	// point lands here, so metric counts do not depend on which one the
+	// caller used.
 	start := time.Now()
 	pkt, err := buildPacketInto(s, cfg, psdu)
 	if err != nil {
@@ -69,8 +78,11 @@ func buildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	}
 	bits.FromBytesInto(s.dataBits[serviceBits:serviceBits+8*len(psdu)], psdu)
 
-	// Scramble, then zero the tail and pad bits (see buildPacket for why the
-	// pad is zeroed too).
+	// Scramble everything, then zero the tail bits so the encoder is
+	// flushed to the zero state (17.3.5.3). The pad bits after the tail are
+	// zeroed as well — unlike the standard, which transmits them scrambled —
+	// so the trellis stays terminated through the end of the block; pad bits
+	// carry no information either way.
 	scr := bits.NewScrambler(cfg.seed())
 	s.scrambled = scr.ScrambleInto(s.scrambled, s.dataBits)
 	tailStart := serviceBits + 8*len(psdu)
@@ -144,8 +156,7 @@ func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
 }
 
 // ReconstructGridInto is ReconstructGrid using s as working storage; the
-// returned grid aliases s. It counts as a packet build, exactly like
-// ReconstructGrid.
+// returned grid aliases s. It counts as a packet build.
 func ReconstructGridInto(s *TxScratch, cfg TxConfig, psdu []byte) (*ofdm.Grid, error) {
 	pkt, err := BuildPacketInto(s, cfg, psdu)
 	if err != nil {
@@ -179,16 +190,8 @@ func RunFrontEndInto(s *RxScratch, samples []complex128) (*FrontEnd, error) {
 	if s == nil {
 		s = &RxScratch{}
 	}
-	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
-		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
-	}
-	// Instrumentation mirrors RunFrontEnd (see the register-pressure note
-	// there).
-	start := time.Now()
-	if err := frontEndInto(&s.fe, samples, 1); err != nil {
+	if err := runFrontEnd(&s.fe, samples, 1); err != nil {
 		return nil, err
 	}
-	mRxFrontEnds.Inc()
-	mRxFrontEndSeconds.ObserveSince(start)
 	return &s.fe, nil
 }
