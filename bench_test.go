@@ -302,6 +302,37 @@ func BenchmarkViterbiDecode1KB(b *testing.B) {
 	}
 }
 
+// BenchmarkViterbiDecodeInto1KBSoft is the decoder as the PHY runs it: a
+// 1 KB terminated block of noisy soft metrics with ~10% erasures (silence
+// symbols and punctured positions), decoded through one reused scratch.
+func BenchmarkViterbiDecodeInto1KBSoft(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	data := make([]byte, 8192+6)
+	for i := range data[:8192] {
+		data[i] = byte(rng.Intn(2))
+	}
+	coded, err := coding.ConvEncode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	metrics := make([]float64, len(coded))
+	for i, c := range coded {
+		metrics[i] = float64(2*int(c)-1) + 0.8*rng.NormFloat64()
+		if rng.Float64() < 0.1 {
+			metrics[i] = 0
+		}
+	}
+	dec := coding.Viterbi{Terminated: true}
+	var scratch coding.ViterbiScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.DecodeInto(&scratch, metrics); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSoftDemap64QAM(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pts := make([]complex128, 48)

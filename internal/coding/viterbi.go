@@ -40,21 +40,17 @@ type Viterbi struct {
 	Terminated bool
 }
 
-// decision records the transition that won a trellis state at one step:
-// bits 0-5 hold the predecessor state, bit 6 the input bit. Predecessor
-// recovery cannot re-derive the previous state from (ns, bit) alone because
-// the trellis shift drops the LSB, so it is stored explicitly.
-type decision uint8
-
 // ViterbiScratch holds the decoder's working storage — the two path-metric
-// columns, the decision matrix, and the output bits — so repeated decodes
-// reuse one arena. The zero value is ready to use; arrays grow on demand and
-// are retained between calls. A scratch must not be shared across concurrent
-// decodes, and the bits returned by DecodeInto are valid only until the next
-// decode with the same scratch.
+// columns, one packed uint64 of survivor decisions per trellis step (bit ns
+// set when next state ns was reached from its odd predecessor), and the
+// output bits — so repeated decodes reuse one arena. The zero value is ready
+// to use; the decision and output slices grow on demand and are retained
+// between calls. A scratch must not be shared across concurrent decodes, and
+// the bits returned by DecodeInto are valid only until the next decode with
+// the same scratch.
 type ViterbiScratch struct {
-	cur, next []float64
-	decisions []decision
+	cur, next [NumStates]float64
+	decisions []uint64
 	out       []byte
 }
 
@@ -103,51 +99,70 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 	return out, nil
 }
 
+// negInf is the path metric of an unreachable state.
+var negInf = math.Inf(-1)
+
+// The trellis is the encoder's shift register: input bit b moves state s to
+// b<<5 | s>>1. So the predecessors of next state ns are exactly
+// p0 = 2(ns&31) and p0+1, and the input bit is ns>>5: next states j and
+// j+32 share the pair (2j, 2j+1), a butterfly. Both generators tap the
+// newest and the oldest register bit, so of a butterfly's four branches,
+// 2j->j and 2j+1->j+32 carry the same antipodal outputs and the other two
+// carry their negation.
+//
+// butterfly[j] holds the ±1 outputs (generator A, generator B) of branch
+// 2j->j, computed once at package init; the code is fixed by the standard.
+var butterfly [NumStates / 2]struct{ a, b float64 }
+
+func init() {
+	for j := range butterfly {
+		window := uint(2 * j) // input bit 0, register 2j
+		butterfly[j].a = float64(2*int(parity(window&GeneratorA)) - 1)
+		butterfly[j].b = float64(2*int(parity(window&GeneratorB)) - 1)
+	}
+}
+
+// decode runs the add-compare-select once per butterfly and packs each
+// step's 64 survivor decisions into one uint64 (bit ns set when p0+1 won
+// ns), so traceback re-derives every predecessor from the state alone.
+// The numerics are pinned by the goldens; changing them is a versioned
+// numerics change with a deliberate golden re-pin:
+//   - each candidate is pm + outA*mA + outB*mB, added in that order, with
+//     outA*mA and outB*mB formed by multiplying with the ±1 signs. The
+//     negated branches subtract those products, which IEEE 754 defines as
+//     adding their negation, so the rounding is the same;
+//   - the comparison is strict, so p0 wins a tie;
+//   - a -Inf or NaN candidate from p0 is clamped to -Inf, and one from
+//     p0+1 cannot pass the strict comparison, so unreachable states stay
+//     -Inf and NaN never enters a path metric.
 func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	if s == nil {
 		s = &ViterbiScratch{}
 	}
-	// steps is recomputed from len(metrics) rather than passed in so the
-	// compiler can prove 2*t+1 < len(metrics) and drop the bounds checks
-	// in the trellis loop.
 	steps := len(metrics) / 2
-	negInf := math.Inf(-1)
-	s.cur = growFloat64(s.cur, NumStates)
-	s.next = growFloat64(s.next, NumStates)
-	cur, next := s.cur, s.next
+	cur, next := &s.cur, &s.next
 	cur[0] = 0 // encoder starts in state 0
 	for st := 1; st < NumStates; st++ {
 		cur[st] = negInf
 	}
-
-	// decisions[t*NumStates + ns] records the input bit whose transition
-	// won state ns at step t, together with the predecessor state.
-	if cap(s.decisions) < steps*NumStates {
-		s.decisions = make([]decision, steps*NumStates)
+	if cap(s.decisions) < steps {
+		s.decisions = make([]uint64, steps)
 	}
-	decisions := s.decisions[:steps*NumStates]
+	decisions := s.decisions[:steps]
 
-	for t := 0; t < steps; t++ {
+	for t := range decisions {
 		mA := metrics[2*t]
 		mB := metrics[2*t+1]
-		for s := range next {
-			next[s] = negInf
+		var d uint64
+		for j := 0; j < NumStates/2; j++ {
+			pm0, pm1 := cur[2*j], cur[2*j+1]
+			a, b := butterfly[j].a*mA, butterfly[j].b*mB // branch 2j->j
+			lo, dlo := acs(pm0+a+b, pm1-a-b)
+			hi, dhi := acs(pm0-a-b, pm1+a+b)
+			next[j], next[j+NumStates/2] = lo, hi
+			d |= dlo<<j | dhi<<(j+NumStates/2)
 		}
-		for s := 0; s < NumStates; s++ {
-			pm := cur[s]
-			if math.IsInf(pm, -1) {
-				continue
-			}
-			for b := 0; b <= 1; b++ {
-				br := trellis[s][b]
-				m := pm + float64(br.outA)*mA + float64(br.outB)*mB
-				ns := int(br.next)
-				if m > next[ns] {
-					next[ns] = m
-					decisions[t*NumStates+ns] = decision(uint8(s) | uint8(b)<<6)
-				}
-			}
-		}
+		decisions[t] = d
 		cur, next = next, cur
 	}
 
@@ -168,13 +183,28 @@ func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 
 	s.out = growBytes(s.out, steps)
 	out := s.out
-	state := end
+	state := uint(end)
 	for t := steps - 1; t >= 0; t-- {
-		d := decisions[t*NumStates+state]
-		out[t] = byte(d >> 6)
-		state = int(d & 0x3F)
+		out[t] = byte(state >> 5)
+		state = 2*(state&31) + uint(decisions[t]>>state&1)
 	}
 	return out, nil
+}
+
+// acs selects the survivor of candidates m0 (from p0) and m1 (from p0+1),
+// returning its metric and 1 when m1 won. The metric is picked with a mask
+// rather than a branch: on noisy metrics the winner is unpredictable, and
+// a mispredicted branch per state costs more than the whole ACS.
+func acs(m0, m1 float64) (float64, uint64) {
+	if !(m0 > negInf) {
+		m0 = negInf
+	}
+	var bit uint64
+	if m1 > m0 {
+		bit = 1
+	}
+	w0, w1 := math.Float64bits(m0), math.Float64bits(m1)
+	return math.Float64frombits(w0 ^ (w0^w1)&-bit), bit
 }
 
 // HardMetrics converts hard bits into antipodal metrics of the given
