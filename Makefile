@@ -37,8 +37,12 @@ race:
 # /scenarios listing) plus a reduced-scale scenario head-to-head bench,
 # both under the race detector, and the fleet coordinator's failover /
 # mid-run-growth / byte-identity paths under the race detector (workers,
-# kill, and add-backend race the dispatch queue by design).
+# kill, and add-backend race the dispatch queue by design). The arm64
+# build and vet keep the portable decoder path compiling on hosts without
+# the amd64 vector kernel.
 ci: build vet
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/coding
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -short ./...

@@ -66,6 +66,12 @@ func (v *Viterbi) Decode(metrics []float64) ([]byte, error) {
 // decodes into fresh storage, making DecodeInto(nil, m) identical to
 // Decode(m).
 func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, error) {
+	return v.decodeWith(acsKernel, s, metrics)
+}
+
+// decodeWith is DecodeInto with the add-compare-select kernel passed in, so
+// tests can hold every kernel the host runs to the same oracle.
+func (v *Viterbi) decodeWith(kernel acsFunc, s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	if len(metrics)%2 != 0 {
 		return nil, fmt.Errorf("coding: metric count %d is odd; rate-1/2 code needs pairs", len(metrics))
 	}
@@ -88,7 +94,7 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 		}
 		erased += inc
 	}
-	out, err := v.decode(s, metrics)
+	out, err := v.decode(kernel, s, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -110,60 +116,50 @@ var negInf = math.Inf(-1)
 // 2j->j and 2j+1->j+32 carry the same antipodal outputs and the other two
 // carry their negation.
 //
-// butterfly[j] holds the ±1 outputs (generator A, generator B) of branch
-// 2j->j, computed once at package init; the code is fixed by the standard.
-var butterfly [NumStates / 2]struct{ a, b float64 }
+// signA[j] and signB[j] hold the ±1 outputs of generator A and generator B
+// on branch 2j->j, computed once at package init; the code is fixed by the
+// standard. The AVX2 kernel loads them four at a time.
+var signA, signB [NumStates / 2]float64
 
 func init() {
-	for j := range butterfly {
+	for j := range signA {
 		window := uint(2 * j) // input bit 0, register 2j
-		butterfly[j].a = float64(2*int(parity(window&GeneratorA)) - 1)
-		butterfly[j].b = float64(2*int(parity(window&GeneratorB)) - 1)
+		signA[j] = float64(2*int(parity(window&GeneratorA)) - 1)
+		signB[j] = float64(2*int(parity(window&GeneratorB)) - 1)
 	}
 }
 
-// decode runs the add-compare-select once per butterfly and packs each
-// step's 64 survivor decisions into one uint64 (bit ns set when p0+1 won
-// ns), so traceback re-derives every predecessor from the state alone.
-// The numerics are pinned by the goldens; changing them is a versioned
-// numerics change with a deliberate golden re-pin:
-//   - each candidate is pm + outA*mA + outB*mB, added in that order, with
-//     outA*mA and outB*mB formed by multiplying with the ±1 signs. The
-//     negated branches subtract those products, which IEEE 754 defines as
-//     adding their negation, so the rounding is the same;
-//   - the comparison is strict, so p0 wins a tie;
-//   - a -Inf or NaN candidate from p0 is clamped to -Inf, and one from
-//     p0+1 cannot pass the strict comparison, so unreachable states stay
-//     -Inf and NaN never enters a path metric.
-func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
+// acsFunc is the add-compare-select pass over a whole block: for each step t
+// it reads the path metrics in cur and the metric pair metrics[2t:2t+2],
+// writes the next column into next and the step's 64 survivor decisions
+// into decisions[t] (bit ns set when p0+1 won ns), then swaps the roles of
+// cur and next. So after an odd number of steps the final column is in next,
+// after an even number in cur. len(metrics) must be 2*len(decisions).
+//
+// acsGeneric is the portable kernel; acsKernel, set once per architecture
+// from what the CPU supports, is the one DecodeInto runs.
+type acsFunc func(cur, next *[NumStates]float64, metrics []float64, decisions []uint64)
+
+// decode runs the add-compare-select kernel over the block, then picks the
+// terminal state and traces back through the packed decisions, re-deriving
+// every predecessor from the state alone.
+func (v *Viterbi) decode(kernel acsFunc, s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	if s == nil {
 		s = &ViterbiScratch{}
 	}
 	steps := len(metrics) / 2
-	cur, next := &s.cur, &s.next
-	cur[0] = 0 // encoder starts in state 0
+	s.cur[0] = 0 // encoder starts in state 0
 	for st := 1; st < NumStates; st++ {
-		cur[st] = negInf
+		s.cur[st] = negInf
 	}
 	if cap(s.decisions) < steps {
 		s.decisions = make([]uint64, steps)
 	}
 	decisions := s.decisions[:steps]
-
-	for t := range decisions {
-		mA := metrics[2*t]
-		mB := metrics[2*t+1]
-		var d uint64
-		for j := 0; j < NumStates/2; j++ {
-			pm0, pm1 := cur[2*j], cur[2*j+1]
-			a, b := butterfly[j].a*mA, butterfly[j].b*mB // branch 2j->j
-			lo, dlo := acs(pm0+a+b, pm1-a-b)
-			hi, dhi := acs(pm0-a-b, pm1+a+b)
-			next[j], next[j+NumStates/2] = lo, hi
-			d |= dlo<<j | dhi<<(j+NumStates/2)
-		}
-		decisions[t] = d
-		cur, next = next, cur
+	kernel(&s.cur, &s.next, metrics[:2*steps], decisions)
+	cur := &s.cur
+	if steps%2 == 1 {
+		cur = &s.next
 	}
 
 	// Pick the terminal state.
@@ -189,6 +185,36 @@ func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 		state = 2*(state&31) + uint(decisions[t]>>state&1)
 	}
 	return out, nil
+}
+
+// acsGeneric is the portable kernel: the add-compare-select once per
+// butterfly. Its numerics are pinned by the goldens, and every other kernel
+// must reproduce them bit for bit; changing them is a versioned numerics
+// change with a deliberate golden re-pin:
+//   - each candidate is pm + outA*mA + outB*mB, added in that order, with
+//     outA*mA and outB*mB formed by multiplying with the ±1 signs. The
+//     negated branches subtract those products, which IEEE 754 defines as
+//     adding their negation, so the rounding is the same;
+//   - the comparison is strict, so p0 wins a tie;
+//   - a -Inf or NaN candidate from p0 is clamped to -Inf, and one from
+//     p0+1 cannot pass the strict comparison, so unreachable states stay
+//     -Inf and NaN never enters a path metric.
+func acsGeneric(cur, next *[NumStates]float64, metrics []float64, decisions []uint64) {
+	for t := range decisions {
+		mA := metrics[2*t]
+		mB := metrics[2*t+1]
+		var d uint64
+		for j := 0; j < NumStates/2; j++ {
+			pm0, pm1 := cur[2*j], cur[2*j+1]
+			a, b := signA[j]*mA, signB[j]*mB // branch 2j->j
+			lo, dlo := acs(pm0+a+b, pm1-a-b)
+			hi, dhi := acs(pm0-a-b, pm1+a+b)
+			next[j], next[j+NumStates/2] = lo, hi
+			d |= dlo<<j | dhi<<(j+NumStates/2)
+		}
+		decisions[t] = d
+		cur, next = next, cur
+	}
 }
 
 // acs selects the survivor of candidates m0 (from p0) and m1 (from p0+1),

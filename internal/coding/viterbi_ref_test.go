@@ -107,12 +107,24 @@ func decodeRef(terminated bool, metrics []float64) ([]byte, error) {
 	return out, nil
 }
 
-// sameDecode reports how the production decoder's result for metrics,
-// decoded through s, differs from the oracle's; "" means identical bits
-// and identical error text.
-func sameDecode(terminated bool, s *ViterbiScratch, metrics []float64) string {
+// namedKernel is one add-compare-select kernel under test.
+type namedKernel struct {
+	name string
+	fn   acsFunc
+}
+
+// hostKernels is every kernel this host can run: the portable one always,
+// plus the vector kernels the CPU probe allows.
+func hostKernels() []namedKernel {
+	return append([]namedKernel{{"generic", acsGeneric}}, vectorKernels()...)
+}
+
+// sameDecode reports how the decoder's result for metrics, decoded through
+// s with kernel k, differs from the oracle's; "" means identical bits and
+// identical error text.
+func sameDecode(k acsFunc, terminated bool, s *ViterbiScratch, metrics []float64) string {
 	want, wantErr := decodeRef(terminated, metrics)
-	got, gotErr := (&Viterbi{Terminated: terminated}).DecodeInto(s, metrics)
+	got, gotErr := (&Viterbi{Terminated: terminated}).decodeWith(k, s, metrics)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		return fmt.Sprintf("error %v, oracle %v", gotErr, wantErr)
 	}
@@ -198,10 +210,12 @@ func withValue(rng *rand.Rand, steps int, v float64) []float64 {
 	return m
 }
 
-// TestViterbiMatchesStateMajorReference pins the butterfly decoder to the
-// state-major oracle, bit for bit and error for error: soft, tied,
-// mixed-scale and hard metrics, non-finite inputs, both termination modes,
-// and scratch reused dirty from longer and shorter blocks.
+// TestViterbiMatchesStateMajorReference pins the butterfly decoder, with
+// every kernel the host runs, to the state-major oracle, bit for bit and
+// error for error: soft, tied, mixed-scale and hard metrics, non-finite
+// inputs, every block length up to 7 steps (both final-column parities, and
+// states not yet reachable from the start), both termination modes, and
+// scratch reused dirty from longer and shorter blocks.
 func TestViterbiMatchesStateMajorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	steps := func() int {
@@ -235,19 +249,31 @@ func TestViterbiMatchesStateMajorReference(t *testing.T) {
 			block{"+inf", withValue(rng, 1+rng.Intn(500), math.Inf(1)), ""},
 			block{"-inf", withValue(rng, 1+rng.Intn(500), math.Inf(-1)), ""})
 	}
+	for n := 1; n <= 7; n++ {
+		blocks = append(blocks,
+			block{"short-gaussian", gaussianMetrics(rng, n, 0.2), ""},
+			block{"short-tied", tiedMetrics(rng, n), ""})
+	}
 
-	// One scratch runs through every block, so each decode starts from the
-	// previous block's leftovers: longer and shorter alike.
-	var scratch ViterbiScratch
+	// Per kernel, one scratch runs through every block, so each decode
+	// starts from the previous block's leftovers: longer and shorter alike.
+	for _, k := range hostKernels() {
+		t.Logf("kernel %s: %d blocks", k.name, len(blocks))
+		var scratch ViterbiScratch
+		for i, b := range blocks {
+			for _, terminated := range []bool{true, false} {
+				if diff := sameDecode(k.fn, terminated, &scratch, b.metrics); diff != "" {
+					t.Errorf("%s: block %d (%s, %d steps, terminated=%v): %s",
+						k.name, i, b.name, len(b.metrics)/2, terminated, diff)
+				}
+			}
+		}
+	}
 	for i, b := range blocks {
+		if b.wantErr == "" {
+			continue
+		}
 		for _, terminated := range []bool{true, false} {
-			if diff := sameDecode(terminated, &scratch, b.metrics); diff != "" {
-				t.Errorf("block %d (%s, %d steps, terminated=%v): %s",
-					i, b.name, len(b.metrics)/2, terminated, diff)
-			}
-			if b.wantErr == "" {
-				continue
-			}
 			_, err := (&Viterbi{Terminated: terminated}).Decode(b.metrics)
 			if fmt.Sprint(err) != b.wantErr {
 				t.Errorf("block %d (%s, terminated=%v): error %v, want %q",
@@ -258,9 +284,9 @@ func TestViterbiMatchesStateMajorReference(t *testing.T) {
 }
 
 // FuzzViterbiMatchesReference decodes the fuzzer's bytes as little-endian
-// float64 metric pairs (at most maxFuzzSteps steps) with the production
-// decoder and the oracle, in both termination modes, and requires identical
-// results.
+// float64 metric pairs (at most maxFuzzSteps steps) with the decoder under
+// every kernel the host runs and with the oracle, in both termination
+// modes, and requires identical results.
 func FuzzViterbiMatchesReference(f *testing.F) {
 	const maxFuzzSteps = 2000
 	seed := func(m []float64) []byte {
@@ -283,11 +309,48 @@ func FuzzViterbiMatchesReference(f *testing.F) {
 		for i := range m {
 			m[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		var scratch ViterbiScratch
-		for _, terminated := range []bool{true, false} {
-			if diff := sameDecode(terminated, &scratch, m); diff != "" {
-				t.Errorf("%d metrics, terminated=%v: %s", n, terminated, diff)
+		for _, k := range hostKernels() {
+			var scratch ViterbiScratch
+			for _, terminated := range []bool{true, false} {
+				if diff := sameDecode(k.fn, terminated, &scratch, m); diff != "" {
+					t.Errorf("%s: %d metrics, terminated=%v: %s", k.name, n, terminated, diff)
+				}
 			}
 		}
 	})
+}
+
+// BenchmarkACSKernels times one add-compare-select pass per kernel the host
+// runs, over the block BenchmarkViterbiDecodeInto1KBSoft decodes: 1 KB of
+// terminated data as noisy soft metrics with ~10% erasures.
+func BenchmarkACSKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	data := make([]byte, 8192+TailBits)
+	for i := range data[:8192] {
+		data[i] = byte(rng.Intn(2))
+	}
+	coded, err := ConvEncode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	metrics := make([]float64, len(coded))
+	for i, c := range coded {
+		metrics[i] = float64(2*int(c)-1) + 0.8*rng.NormFloat64()
+		if rng.Float64() < 0.1 {
+			metrics[i] = 0
+		}
+	}
+	decisions := make([]uint64, len(metrics)/2)
+	for _, k := range hostKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			var cur, next [NumStates]float64
+			for b.Loop() {
+				cur[0] = 0
+				for st := 1; st < NumStates; st++ {
+					cur[st] = negInf
+				}
+				k.fn(&cur, &next, metrics, decisions)
+			}
+		})
+	}
 }

@@ -106,6 +106,40 @@ func TestJobLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestAdmittedBeforeStartedUnderLoad runs many tiny link jobs one at a
+// time on one shard, so the idle worker dequeues each job the instant it is
+// sent, and requires every job's journal trail to read admitted < started
+// < finished.
+func TestAdmittedBeforeStartedUnderLoad(t *testing.T) {
+	const jobs = 200
+	s := New(Config{Shards: 1, Metrics: obs.NewRegistry()})
+	all := make([]*Job, jobs)
+	for i := range all {
+		j, err := s.Submit(Spec{Kind: KindLink, Seed: int64(i), Packets: 1, PayloadBytes: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		all[i] = j
+	}
+	s.Drain(5 * time.Second)
+
+	seq := map[string]map[string]uint64{}
+	for _, ev := range s.Journal().Snapshot(0) {
+		if seq[ev.Job] == nil {
+			seq[ev.Job] = map[string]uint64{}
+		}
+		seq[ev.Job][ev.Type] = ev.Seq
+	}
+	for _, j := range all {
+		m := seq[j.ID()]
+		adm, start, fin := m[EventJobAdmitted], m[EventJobStarted], m[EventJobFinished]
+		if adm == 0 || adm >= start || start >= fin {
+			t.Errorf("%s: admitted seq %d, started %d, finished %d", j.ID(), adm, start, fin)
+		}
+	}
+}
+
 // TestStageCorrelationAcrossKinds checks that stream and wlan jobs also
 // carry flight-recorder totals (figure jobs intentionally do not).
 func TestStageCorrelationAcrossKinds(t *testing.T) {

@@ -12,10 +12,12 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"cos/internal/serve"
 	"cos/internal/serve/client"
 	servehttp "cos/internal/serve/http"
+	"cos/internal/serve/store"
 )
 
 // TestScenariosEndpoint pins GET /scenarios: 200, sorted deterministic
@@ -92,6 +94,53 @@ func TestSubmitUnknownScenario(t *testing.T) {
 	if envelope.Error.Code != servehttp.CodeInvalidScenario {
 		t.Fatalf("error code = %q, want %q (message %q)",
 			envelope.Error.Code, servehttp.CodeInvalidScenario, envelope.Error.Message)
+	}
+}
+
+// TestSubmitRejectsUnbuildableScenario sends references that parse and
+// name a known scenario but carry parameters its components reject. Each
+// must get the typed 400 at admission, and none may reach the WAL.
+func TestSubmitRejectsUnbuildableScenario(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := startAPI(t, serve.Config{Shards: 1, Store: st})
+
+	for _, ref := range []string{"hybrid-bscpec:-1,2,-5", "pulse:0,0,0"} {
+		body := []byte(`{"kind":"link","packets":1,"scenario":"` + ref + `"}`)
+		resp, err := http.Post(c.BaseURL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope servehttp.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", ref, resp.StatusCode)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if envelope.Error.Code != servehttp.CodeInvalidScenario {
+			t.Errorf("%s: error code = %q (message %q), want %q",
+				ref, envelope.Error.Code, envelope.Error.Message, servehttp.CodeInvalidScenario)
+		}
+	}
+
+	srv.Drain(5 * time.Second)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rec := reopened.Recovery(); len(rec.Pending)+len(rec.Completed)+len(rec.Failed) != 0 {
+		t.Fatalf("WAL holds rejected specs: %+v", rec)
 	}
 }
 

@@ -415,31 +415,7 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	shardIdx := int(s.nextSh % uint64(len(s.shards)))
 	shard := s.shards[shardIdx]
-	// Depth is measured before the send so the admitted event can report
-	// "queue depth including this job" without racing the worker's dequeue.
-	depthBefore := len(shard)
-	select {
-	case shard <- job:
-		s.nextSh++
-		s.jobs[job.id] = job
-		s.order = append(s.order, job.id)
-		s.byDigest[digest] = job
-		if opts.IdempotencyKey != "" {
-			s.byKey[opts.IdempotencyKey] = job
-		}
-		s.mu.Unlock()
-		s.logSubmit(job)
-		s.submitted.Inc()
-		if s.cfg.Cache != nil {
-			s.cacheMisses.Inc()
-		}
-		s.queueDepth.Add(1)
-		s.noteSubmit(false)
-		s.emit(EventJobAdmitted, job.id, AdmittedEvent{
-			Kind: norm.Kind, Seed: norm.Seed, Shard: shardIdx, QueueDepth: depthBefore + 1,
-		})
-		return job, nil
-	default:
+	if len(shard) == cap(shard) {
 		s.nextID--          // job was never admitted; reuse the ID
 		depth := cap(shard) // rejected because the queue was at capacity
 		s.mu.Unlock()
@@ -450,6 +426,29 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 		})
 		return nil, ErrOverloaded
 	}
+	// The admitted event takes its journal seq before the job is on the
+	// queue, so no worker can journal job_started ahead of it. The send
+	// below cannot block: every sender holds s.mu, and workers only drain.
+	s.emit(EventJobAdmitted, job.id, AdmittedEvent{
+		Kind: norm.Kind, Seed: norm.Seed, Shard: shardIdx, QueueDepth: len(shard) + 1,
+	})
+	shard <- job
+	s.nextSh++
+	s.jobs[job.id] = job
+	s.order = append(s.order, job.id)
+	s.byDigest[digest] = job
+	if opts.IdempotencyKey != "" {
+		s.byKey[opts.IdempotencyKey] = job
+	}
+	s.mu.Unlock()
+	s.logSubmit(job)
+	s.submitted.Inc()
+	if s.cfg.Cache != nil {
+		s.cacheMisses.Inc()
+	}
+	s.queueDepth.Add(1)
+	s.noteSubmit(false)
+	return job, nil
 }
 
 // lookupResultLocked resolves digest to a finished result body: the cache

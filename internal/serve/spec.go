@@ -195,6 +195,25 @@ func parsePosition(name string) (cos.Position, error) {
 	}
 }
 
+// buildScenario resolves ref and builds its channel at geom, its
+// interferer and its embedding once, so parameters a component rejects are
+// refused at admission instead of failing the job on a shard. Kinds without
+// a position of their own are checked at the default one.
+func buildScenario(ref string, geom scenario.Geometry) error {
+	sc, err := scenario.FromRef(ref)
+	if err != nil {
+		return err
+	}
+	if _, err := sc.NewChannel(geom); err != nil {
+		return err
+	}
+	if _, err := sc.NewInterferer(); err != nil {
+		return err
+	}
+	_, err = sc.NewEmbedding()
+	return err
+}
+
 // SpecSchemaVersion is the version stamped into every canonical encoding.
 // It changes only when the canonical byte layout changes — adding a spec
 // field, renaming one, or altering a default all bump it, because any of
@@ -339,14 +358,17 @@ func (s Spec) Validate() error {
 	if s.Task != 0 && s.Kind != KindFigureTask {
 		return fmt.Errorf("serve: task is only valid for figure_task jobs (kind %q)", s.Kind)
 	}
-	if s.Scenario != "" {
-		if _, err := scenario.FromRef(s.Scenario); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidScenario, err)
-		}
-	}
+	geom := scenario.Geometry{Position: cos.PositionB, Mobile: s.Mobile}
 	if s.Kind == KindLink || s.Kind == KindStream {
-		if _, err := parsePosition(s.Position); err != nil {
+		pos, err := parsePosition(s.Position)
+		if err != nil {
 			return err
+		}
+		geom.Position = pos
+	}
+	if s.Scenario != "" {
+		if err := buildScenario(s.Scenario, geom); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidScenario, err)
 		}
 	}
 	if s.SNRdB < -10 || s.SNRdB > 60 {
