@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test ./internal/cos/ -run xxx -fuzz FuzzIntervalRoundTrip -fuzztime 30s
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzParseRef -fuzztime 30s
 	$(GO) test ./internal/coding/ -run xxx -fuzz FuzzViterbiMatchesReference -fuzztime 30s
+	$(GO) test ./internal/serve/client/ -run xxx -fuzz FuzzRetryAfter -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -17,6 +17,11 @@
 // point-tasks that run across -workers goroutines (default: all CPUs) with
 // bit-identical output at any worker count; ctrl-C cancels a run mid-sweep.
 //
+// Figures that measure silences (fig9, fig10b-d, accuracy, the ablations)
+// need the cos-silence embedding: with a -scenario that embeds otherwise
+// (ofdm-padding) they are refused before any figure runs (exit 2), while
+// channel-only figures run under any scenario.
+//
 // -fleet fans the same point-tasks out across a set of cos-serve daemons
 // instead of local goroutines: the coordinator health-gates dispatch,
 // retries transient refusals with backoff, fails tasks over from dead
@@ -111,6 +116,14 @@ func main() {
 	ids := []string{*fig}
 	if *fig == "all" {
 		ids = experiments.IDs()
+	}
+	// Refuse an unknown ID, or a silence-measuring figure under a
+	// non-silence embedding, before any figure runs.
+	for _, id := range ids {
+		if _, err := experiments.Tasks(id, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "cos-figures: %s: %v\n", id, err)
+			os.Exit(2)
+		}
 	}
 	for _, id := range ids {
 		res, err := runFigure(ctx, id, opts)

@@ -186,6 +186,58 @@ func TestNoForkedIntoTwins(t *testing.T) {
 	}
 }
 
+// TestFiguresUseEmbeddingSeam keeps one CoS trial path: the experiments
+// embed, detect and extract control messages only through the scenario
+// Embedding the link itself runs, never by calling the silence interval-
+// coding or detection primitives directly. Inserting silences at explicit
+// positions (InsertSilences*) stays allowed: fig10a and the placement
+// ablation lay silences out by hand as a layout experiment.
+func TestFiguresUseEmbeddingSeam(t *testing.T) {
+	const dir = "internal/experiments"
+	forbidden := []string{"EncodeIntervals", "Layout", "ExtractIntervals", "DecodeIntervals"}
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		icos := ""
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "cos/internal/cos" {
+				icos = "cos"
+				if imp.Name != nil {
+					icos = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			bad := strings.HasPrefix(sel.Sel.Name, "DetectMask")
+			if x, ok := sel.X.(*ast.Ident); ok && icos != "" && x.Name == icos {
+				for _, p := range forbidden {
+					bad = bad || strings.HasPrefix(sel.Sel.Name, p)
+				}
+			}
+			if bad {
+				t.Errorf("%s: %s bypasses the scenario Embedding seam; embed, detect and extract through silence.Embedding",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
 // forkedIntoTwins returns "dir.Recv.X" for every X in the package at dir
 // that has an XInto sibling on the same receiver and whose body contains a
 // for or range statement.

@@ -96,11 +96,7 @@ func (f ablationEVDTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (j
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		trial := cosTrialConfig{
-			mode: mode, psduLen: 1024, silences: b,
-			k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
-			detector: icos.Detector{Scheme: mode.Modulation},
-		}
+		trial := cosTrialConfig{mode: mode, psduLen: 1024, silences: b, ctrlSCs: ctrlSCs}
 		r, err := runCoSTrial(scr, ch, 0, snr, trial, rng)
 		if err != nil {
 			continue
@@ -254,7 +250,6 @@ func (f ablationPlacementTasks) RunTask(ctx context.Context, i int, rng *rand.Ra
 		trial := cosTrialConfig{
 			mode: mode, psduLen: 1024,
 			ctrlSCs: scs, placement: positions, genieMask: true,
-			detector: icos.Detector{Scheme: mode.Modulation},
 		}
 		r, err := runCoSTrial(scr, ch, 0, snr, trial, rng)
 		if err != nil {
@@ -393,15 +388,11 @@ func (f ablationThresholdTasks) RunTask(ctx context.Context, i int, rng *rand.Ra
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		base := cosTrialConfig{
-			mode: mode, psduLen: 1024, silences: 12,
-			k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
-		}
-		base.detector = icos.Detector{Scheme: mode.Modulation}
+		base := cosTrialConfig{mode: mode, psduLen: 1024, silences: 12, ctrlSCs: ctrlSCs}
 		if r, err := runCoSTrial(scr, ch, 0, actual, base, rng); err == nil && r.ctrlOK {
 			rec.OKAdaptive++
 		}
-		base.detector = icos.Detector{FixedThreshold: fixedTh}
+		base.fixedThreshold = fixedTh
 		if r, err := runCoSTrial(scr, ch, 0, actual, base, rng); err == nil && r.ctrlOK {
 			rec.OKFixed++
 		}
@@ -485,9 +476,7 @@ func (f controlAccuracyTasks) RunTask(ctx context.Context, i int, rng *rand.Rand
 			return nil, err
 		}
 		r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-			mode: mode, psduLen: 1024, silences: 12,
-			k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
-			detector: icos.Detector{Scheme: mode.Modulation},
+			mode: mode, psduLen: 1024, silences: 12, ctrlSCs: ctrlSCs,
 		}, rng)
 		if err != nil {
 			continue
@@ -579,9 +568,7 @@ func (f ablationQuantizationTasks) RunTask(ctx context.Context, i int, rng *rand
 			// selection) irrelevant here, so the paper's fixed mid-band
 			// control set keeps every cell comparable.
 			r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-				mode: mode, psduLen: 1024, silences: 12,
-				k: icos.DefaultBitsPerInterval, ctrlSCs: fig10CtrlSCs,
-				detector:  icos.Detector{Scheme: mode.Modulation},
+				mode: mode, psduLen: 1024, silences: 12, ctrlSCs: fig10CtrlSCs,
 				genieMask: true, // isolate LLR width from detection noise
 				llrBits:   w,
 			}, rng)

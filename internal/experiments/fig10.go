@@ -13,6 +13,7 @@ import (
 	"cos/internal/ofdm"
 	"cos/internal/phy"
 	"cos/internal/pool"
+	"cos/internal/scenario"
 )
 
 // fig10CtrlSCs is the contiguous control set of the paper's Fig. 10(a)
@@ -252,12 +253,8 @@ func (f fig10bTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.R
 			return nil, err
 		}
 		r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-			mode:     mode,
-			psduLen:  1024,
-			silences: 12,
-			k:        icos.DefaultBitsPerInterval,
-			ctrlSCs:  fig10CtrlSCs,
-			detector: icos.Detector{FixedThreshold: th},
+			mode: mode, psduLen: 1024, silences: 12, ctrlSCs: fig10CtrlSCs,
+			fixedThreshold: th,
 		}, rng)
 		if err != nil {
 			return nil, err
@@ -371,17 +368,13 @@ func (f accuracyTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json
 		return nil, err
 	}
 	si := i % len(f.cfg.SNRs)
-	trial := cosTrialConfig{
-		mode:     mode,
-		psduLen:  1024,
-		silences: 12,
-		k:        icos.DefaultBitsPerInterval,
-		ctrlSCs:  fig10CtrlSCs,
-		detector: icos.Detector{Scheme: mode.Modulation},
-	}
+	trial := cosTrialConfig{mode: mode, psduLen: 1024, silences: 12, ctrlSCs: fig10CtrlSCs}
+	// Calibration runs on the bare channel; the interference arm's trials
+	// see pulses after propagation.
+	trialCh := ch
 	if i >= len(f.cfg.SNRs) {
 		rng = pool.TaskRNG(f.cfg.Seed+1, si)
-		trial.interferer = &channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
+		trialCh = scenario.Interfered(ch, &channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004})
 	}
 	scr := &trialScratch{}
 	actual, err := calibrateActualSNR(scr, ch, 0, mode, f.cfg.SNRs[si], rng)
@@ -393,7 +386,7 @@ func (f accuracyTasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := runCoSTrial(scr, ch, 0, actual, trial, rng)
+		r, err := runCoSTrial(scr, trialCh, 0, actual, trial, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -152,14 +152,7 @@ func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelM
 		}
 		allowed := int(float64(packets) * (1 - cfg.TargetPRR))
 		failures := 0
-		trial := cosTrialConfig{
-			mode:     mode,
-			psduLen:  cfg.PSDULen,
-			silences: budget,
-			k:        icos.DefaultBitsPerInterval,
-			ctrlSCs:  ctrlSCs,
-			detector: icos.Detector{Scheme: mode.Modulation},
-		}
+		trial := cosTrialConfig{mode: mode, psduLen: cfg.PSDULen, silences: budget, ctrlSCs: ctrlSCs}
 		for p := 0; p < packets; p++ {
 			if err := ctx.Err(); err != nil {
 				return false, err

@@ -11,6 +11,7 @@ import (
 	"cos/internal/phy"
 	"cos/internal/scenario"
 	_ "cos/internal/scenario/all" // register the built-in scenario components
+	"cos/internal/scenario/silence"
 )
 
 // trialChannel draws the channel model an experiment point-task propagates
@@ -44,24 +45,20 @@ func freqResponse(model scenario.ChannelModel, t float64) ([ofdm.NumSubcarriers]
 }
 
 // trialScratch is the experiments' reusable working storage: the PHY
-// transmit/receive scratch arenas plus every buffer the trial harness
-// needs between packets. One scratch serves one point-task; results
-// returned by probe and runCoSTrial alias it and are valid only until its
-// next use.
+// transmit/receive scratch arenas, the cos-silence embedding (which owns
+// the interval and mask scratch), and the buffers the trial harness needs
+// between packets. One scratch serves one point-task; results returned by
+// probe and runCoSTrial alias it and are valid only until its next use.
 type trialScratch struct {
 	tx       phy.TxScratch
 	rx       phy.RxScratch
+	emb      silence.Embedding
 	samples  []complex128
 	rxBuf    []complex128
 	psdu     []byte
 	payload  []byte
 	ctrl     []byte
-	txIvals  []int
-	txPos    []icos.Pos
 	truthMsk [][]bool
-	detMsk   [][]bool
-	rxIvals  []int
-	rxBits   []byte
 }
 
 // probe pushes one known packet through ch at time t with the given true
@@ -130,24 +127,24 @@ func calibrateActualSNR(s *trialScratch, ch scenario.ChannelModel, t float64, mo
 	return actual, nil
 }
 
-// cosTrialConfig parameterizes one CoS packet trial.
+// cosTrialConfig parameterizes one CoS packet trial. Control messages are
+// interval-coded at icos.DefaultBitsPerInterval bits per interval.
 type cosTrialConfig struct {
 	mode      phy.Mode
 	psduLen   int
 	silences  int // total silence symbols to insert (0 = none)
-	k         int
 	ctrlSCs   []int
 	genieMask bool // decode with the true mask instead of the detected one
 	// ignoreErasures decodes without any erasure mask (the erasure-
 	// ignorant baseline of the EVD ablation).
 	ignoreErasures bool
-	detector       icos.Detector
-	// interferer, when non-nil, injects interference into the received
-	// samples (Fig. 10(d) uses the pulse interferer).
-	interferer scenario.Interferer
+	// fixedThreshold, when positive, replaces the adaptive detector with
+	// this absolute post-FFT energy threshold (the Fig. 10(b) sweep and
+	// the threshold ablation); 0 selects the adaptive detector.
+	fixedThreshold float64
 	// placement overrides interval-coded layout with an explicit silence
-	// position list (placement ablation); silences/k are ignored for
-	// control decoding when set.
+	// position list (placement ablation); silences is ignored and no
+	// control message is sent when set.
 	placement []icos.Pos
 	// llrBits quantizes the decoder input (0 = float metrics).
 	llrBits int
@@ -162,8 +159,12 @@ type cosTrialResult struct {
 
 // runCoSTrial sends one FCS-protected packet with an embedded random control
 // message sized to produce exactly cfg.silences silence symbols, then runs
-// the full receive pipeline, all through s's scratch arenas.
+// the full receive pipeline, all through s's scratch arenas. The control
+// message is embedded, detected and extracted by the same cos-silence
+// embedding the link's Transmitter and Receiver run, in the Receiver's
+// order (Mask, decode, Extract).
 func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64, cfg cosTrialConfig, rng *rand.Rand) (*cosTrialResult, error) {
+	const k = icos.DefaultBitsPerInterval
 	n := cfg.psduLen - bits.FCSLen
 	if cap(s.payload) < n {
 		s.payload = make([]byte, n)
@@ -176,20 +177,17 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 		return nil, err
 	}
 
+	// A 1-silence message carries zero bits (ctrl may be nil), so whether
+	// a control message was sent is this flag, not ctrl itself.
+	embedded := cfg.placement == nil && cfg.silences > 0
 	var ctrl []byte
 	var truthMask [][]bool
 	switch {
 	case cfg.placement != nil:
 		s.truthMsk, err = icos.InsertSilencesInto(s.truthMsk, tx.Grid, cfg.placement)
-		if err != nil {
-			return nil, err
-		}
 		truthMask = s.truthMsk
-	case cfg.silences > 0:
-		nBits := (cfg.silences - 1) * cfg.k
-		if nBits < 0 {
-			nBits = 0
-		}
+	case embedded:
+		nBits := (cfg.silences - 1) * k
 		if cap(s.ctrl) < nBits {
 			s.ctrl = make([]byte, nBits)
 		}
@@ -197,19 +195,10 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 		for i := range ctrl {
 			ctrl[i] = byte(rng.Intn(2))
 		}
-		s.txIvals, err = icos.EncodeIntervalsInto(s.txIvals, ctrl, cfg.k)
-		if err != nil {
-			return nil, err
-		}
-		s.txPos, err = icos.LayoutInto(s.txPos, s.txIvals, tx.NumSymbols(), cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		s.truthMsk, err = icos.InsertSilencesInto(s.truthMsk, tx.Grid, s.txPos)
-		if err != nil {
-			return nil, err
-		}
-		truthMask = s.truthMsk
+		truthMask, _, err = s.emb.Embed(tx, cfg.ctrlSCs, ctrl, k)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	s.samples, err = tx.SamplesInto(s.samples)
@@ -220,56 +209,28 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 	if err != nil {
 		return nil, err
 	}
-	if cfg.interferer != nil {
-		if _, err := cfg.interferer.Apply(s.rxBuf, rng); err != nil {
-			return nil, err
-		}
-	}
 	fe, err := phy.RunFrontEndInto(&s.rx, s.rxBuf)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &cosTrialResult{}
-	var mask [][]bool
-	if cfg.placement != nil {
-		s.detMsk, err = cfg.detector.DetectMaskInto(s.detMsk, fe, cfg.ctrlSCs)
+	var detected, mask [][]bool
+	if cfg.placement != nil || cfg.silences > 0 {
+		det := icos.Detector{Scheme: cfg.mode.Modulation, FixedThreshold: cfg.fixedThreshold}
+		detected, err = s.emb.Mask(fe, det, cfg.ctrlSCs)
 		if err != nil {
 			return nil, err
 		}
-		res.detection, err = icos.CompareMasks(truthMask, s.detMsk, cfg.ctrlSCs)
+		res.detection, err = icos.CompareMasks(truthMask, detected, cfg.ctrlSCs)
 		if err != nil {
 			return nil, err
 		}
-		mask = s.detMsk
-		if cfg.genieMask {
-			mask = truthMask
-		}
-	} else if cfg.silences > 0 {
-		s.detMsk, err = cfg.detector.DetectMaskInto(s.detMsk, fe, cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		var ctrlBits []byte
-		var exErr error
-		s.rxIvals, exErr = icos.ExtractIntervalsInto(s.rxIvals, s.detMsk, cfg.ctrlSCs)
-		if exErr == nil {
-			s.rxBits, exErr = icos.DecodeIntervalsInto(s.rxBits, s.rxIvals, cfg.k)
-			ctrlBits = s.rxBits
-		}
-		if exErr == nil && len(ctrlBits) >= len(ctrl) && bits.Equal(ctrlBits[:len(ctrl)], ctrl) {
-			res.ctrlOK = true
-		}
-		res.detection, err = icos.CompareMasks(truthMask, s.detMsk, cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		mask = s.detMsk
+		mask = detected
 		if cfg.genieMask {
 			mask = truthMask
 		}
 	}
-
 	if cfg.ignoreErasures {
 		mask = nil
 	}
@@ -277,8 +238,10 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := bits.CheckFCS(dec.PSDU); ok {
-		res.dataOK = true
+	_, res.dataOK = bits.CheckFCS(dec.PSDU)
+	if embedded {
+		got, exErr := s.emb.Extract(dec, detected, cfg.ctrlSCs, k)
+		res.ctrlOK = exErr == nil && len(got) >= len(ctrl) && bits.Equal(got[:len(ctrl)], ctrl)
 	}
 	return res, nil
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+
+	"cos/internal/scenario"
 )
 
 // RunOptions configures one experiment run. The zero value selects the
@@ -21,7 +24,9 @@ type RunOptions struct {
 	// Seed drives all randomness; zero selects 1.
 	Seed int64
 	// Scenario is an optional scenario reference ("" = the default world).
-	// It is threaded into every figure configuration verbatim.
+	// It is threaded into every figure configuration verbatim; figures
+	// that measure silences refuse one whose embedding is not cos-silence
+	// (see Tasks).
 	Scenario string
 	// Exec, when non-nil, runs the figure's point-tasks instead of the
 	// in-process pool — the fleet coordinator plugs in here to fan tasks
@@ -31,72 +36,86 @@ type RunOptions struct {
 	Exec Executor
 }
 
-// registry maps every experiment ID to its TaskSet constructor. The same
-// opts always yield the same decomposition (task count and per-task
-// behavior), on every host.
-var registry = map[string]func(RunOptions) TaskSet{
-	"fig2": func(o RunOptions) TaskSet {
+// ErrEmbeddingUnsupported: a figure that measures silences (its tasks run
+// CoS trials through the cos-silence embedding) was asked to run under a
+// scenario with another embedding, where its detection, placement and
+// threshold measurements have no meaning.
+var ErrEmbeddingUnsupported = errors.New("experiments: figure needs the cos-silence embedding")
+
+// figure is one registry entry: its TaskSet constructor, and whether its
+// tasks run CoS trials and so need the scenario's embedding to be
+// cos-silence.
+type figure struct {
+	silence bool
+	tasks   func(RunOptions) TaskSet
+}
+
+// registry maps every experiment ID to its figure. The same opts always
+// yield the same decomposition (task count and per-task behavior), on
+// every host.
+var registry = map[string]figure{
+	"fig2": {tasks: func(o RunOptions) TaskSet {
 		cfg := Fig2Config{Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.Variants = 2
 			cfg.Step = 2
 		}
 		return newFig2Tasks(cfg)
-	},
-	"fig3": func(o RunOptions) TaskSet {
+	}},
+	"fig3": {tasks: func(o RunOptions) TaskSet {
 		return newFig3Tasks(Fig3Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig5": func(o RunOptions) TaskSet {
+	}},
+	"fig5": {tasks: func(o RunOptions) TaskSet {
 		return newFig5Tasks(Fig5Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig6": func(o RunOptions) TaskSet {
+	}},
+	"fig6": {tasks: func(o RunOptions) TaskSet {
 		return newFig6Tasks(Fig6Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig7": func(o RunOptions) TaskSet {
+	}},
+	"fig7": {tasks: func(o RunOptions) TaskSet {
 		return newFig7Tasks(Fig7Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig9": func(o RunOptions) TaskSet {
+	}},
+	"fig9": {silence: true, tasks: func(o RunOptions) TaskSet {
 		cfg := Fig9Config{Scale: o.Scale, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.PointsPerMode = 2
 		}
 		return newFig9Tasks(cfg)
-	},
-	"fig10a": func(o RunOptions) TaskSet {
+	}},
+	"fig10a": {tasks: func(o RunOptions) TaskSet {
 		return newFig10aTasks(Fig10aConfig{Scenario: o.Scenario})
-	},
-	"fig10b": func(o RunOptions) TaskSet {
+	}},
+	"fig10b": {silence: true, tasks: func(o RunOptions) TaskSet {
 		cfg := Fig10bConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.Points = 13
 		}
 		return newFig10bTasks(cfg)
-	},
-	"fig10c": func(o RunOptions) TaskSet {
+	}},
+	"fig10c": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newFig10cTasks(Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
-	},
-	"fig10d": func(o RunOptions) TaskSet {
+	}},
+	"fig10d": {silence: true, tasks: func(o RunOptions) TaskSet {
 		cfg := Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.SNRs = []float64{4, 8, 12, 16, 20}
 		}
 		return newFig10dTasks(cfg)
-	},
-	"ablation-evd": func(o RunOptions) TaskSet {
+	}},
+	"ablation-evd": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newAblationEVDTasks(ablationConfigFrom(o))
-	},
-	"ablation-placement": func(o RunOptions) TaskSet {
+	}},
+	"ablation-placement": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newAblationPlacementTasks(ablationConfigFrom(o))
-	},
-	"ablation-threshold": func(o RunOptions) TaskSet {
+	}},
+	"ablation-threshold": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newAblationThresholdTasks(ablationConfigFrom(o))
-	},
-	"ablation-quantization": func(o RunOptions) TaskSet {
+	}},
+	"ablation-quantization": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newAblationQuantizationTasks(ablationConfigFrom(o))
-	},
-	"accuracy": func(o RunOptions) TaskSet {
+	}},
+	"accuracy": {silence: true, tasks: func(o RunOptions) TaskSet {
 		return newControlAccuracyTasks(ablationConfigFrom(o))
-	},
+	}},
 }
 
 // IDs lists all experiment identifiers in sorted order.
@@ -109,23 +128,35 @@ func IDs() []string {
 	return out
 }
 
-// Tasks returns figure id's point-task decomposition under opts, or false
-// when id names no experiment.
-func Tasks(id string, opts RunOptions) (TaskSet, bool) {
-	mk, ok := registry[id]
+// Tasks returns figure id's point-task decomposition under opts. It fails
+// when id names no experiment, when opts.Scenario does not resolve, and,
+// wrapping ErrEmbeddingUnsupported, when a silence-measuring figure gets a
+// scenario whose embedding is not cos-silence. Channel-only figures accept
+// any scenario.
+func Tasks(id string, opts RunOptions) (TaskSet, error) {
+	f, ok := registry[id]
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return mk(opts), true
+	if f.silence {
+		sc, err := scenario.FromRef(opts.Scenario)
+		if err != nil {
+			return nil, err
+		}
+		if sc.Embedding != "" && sc.Embedding != scenario.DefaultEmbedding {
+			return nil, fmt.Errorf("%w: %s under scenario %q embeds with %s", ErrEmbeddingUnsupported, id, opts.Scenario, sc.Embedding)
+		}
+	}
+	return f.tasks(opts), nil
 }
 
 // Run executes the experiment with the given ID under opts: its TaskSet
 // runs on the in-process pool, or through opts.Exec when set. It is the
 // one entry point cmd/cos-figures, cos-serve and the benchmarks share.
 func Run(ctx context.Context, id string, opts RunOptions) (*Result, error) {
-	ts, ok := Tasks(id, opts)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	ts, err := Tasks(id, opts)
+	if err != nil {
+		return nil, err
 	}
 	return runTasks(ctx, id, opts, ts)
 }

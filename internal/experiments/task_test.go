@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"cos/internal/pool"
@@ -22,9 +23,9 @@ func (e *replayExecutor) ExecTasks(ctx context.Context, id string, opts RunOptio
 	for i := 0; i < n; i++ {
 		// A fresh TaskSet per task mirrors remote execution: every job
 		// rebuilds its world from the spec alone.
-		ts, ok := Tasks(id, opts)
-		if !ok {
-			e.t.Fatalf("unknown figure %q", id)
+		ts, err := Tasks(id, opts)
+		if err != nil {
+			e.t.Fatal(err)
 		}
 		seed := opts.Seed
 		if seed == 0 {
@@ -73,17 +74,45 @@ func TestExecutorPathMatchesLocal(t *testing.T) {
 // with at least one task, and Tasks refuses unknown IDs.
 func TestEveryFigureDecomposes(t *testing.T) {
 	for _, id := range IDs() {
-		ts, ok := Tasks(id, RunOptions{Scale: 0.3, Seed: 1})
-		if !ok {
-			t.Errorf("Tasks(%q) = !ok for a registered figure", id)
+		ts, err := Tasks(id, RunOptions{Scale: 0.3, Seed: 1})
+		if err != nil {
+			t.Errorf("Tasks(%q): %v", id, err)
 			continue
 		}
 		if n := ts.NumTasks(); n < 1 {
 			t.Errorf("figure %q decomposes into %d tasks", id, n)
 		}
 	}
-	if _, ok := Tasks("nope", RunOptions{}); ok {
+	if _, err := Tasks("nope", RunOptions{}); err == nil {
 		t.Error("Tasks accepted an unknown figure")
+	}
+}
+
+// silenceFigures are the figures whose tasks run CoS trials through the
+// cos-silence embedding; every other figure only measures the channel.
+var silenceFigures = map[string]bool{
+	"fig9": true, "fig10b": true, "fig10c": true, "fig10d": true, "accuracy": true,
+	"ablation-evd": true, "ablation-placement": true, "ablation-threshold": true, "ablation-quantization": true,
+}
+
+// TestTasksRefuseOtherEmbeddings: under the padding embedding exactly the
+// silence-measuring figures are refused, with ErrEmbeddingUnsupported, and
+// scenarios that keep cos-silence (whatever their channel or interferer)
+// are accepted by every figure.
+func TestTasksRefuseOtherEmbeddings(t *testing.T) {
+	for _, id := range IDs() {
+		_, err := Tasks(id, RunOptions{Scenario: "ofdm-padding"})
+		if got := errors.Is(err, ErrEmbeddingUnsupported); got != silenceFigures[id] {
+			t.Errorf("Tasks(%q, ofdm-padding) = %v; want refusal %v", id, err, silenceFigures[id])
+		}
+		for _, ref := range []string{"pulse", "hybrid-bscpec", "mobile"} {
+			if _, err := Tasks(id, RunOptions{Scenario: ref}); err != nil {
+				t.Errorf("Tasks(%q, %s) = %v; want accepted", id, ref, err)
+			}
+		}
+	}
+	if _, err := Run(context.Background(), "fig9", RunOptions{Scale: 0.05, Scenario: "ofdm-padding"}); !errors.Is(err, ErrEmbeddingUnsupported) {
+		t.Errorf("Run(fig9, ofdm-padding) = %v; want ErrEmbeddingUnsupported", err)
 	}
 }
 

@@ -19,19 +19,34 @@ import (
 // certain. Real Viterbi decoders run on 3-6 bit soft inputs; the
 // quantization ablation measures how little that costs the CoS pipeline.
 func QuantizeMetrics(metrics []float64, bits int, clip float64) ([]float64, error) {
+	return QuantizeMetricsInto(nil, metrics, bits, clip)
+}
+
+// QuantizeMetricsInto is QuantizeMetrics using s as working storage; the
+// returned metrics alias s and are valid until its next quantization. A
+// nil s quantizes into fresh storage.
+func QuantizeMetricsInto(s *RxScratch, metrics []float64, bits int, clip float64) ([]float64, error) {
 	if bits < 2 || bits > 16 {
 		return nil, fmt.Errorf("phy: LLR width %d outside [2,16]", bits)
 	}
 	if clip <= 0 {
 		clip = 4
 	}
-	mags := make([]float64, 0, len(metrics))
+	if s == nil {
+		s = &RxScratch{}
+	}
+	mags := s.mags[:0]
 	for _, m := range metrics {
 		if m != 0 {
 			mags = append(mags, math.Abs(m))
 		}
 	}
-	out := make([]float64, len(metrics))
+	s.mags = mags
+	if s.quant == nil || cap(s.quant) < len(metrics) {
+		s.quant = make([]float64, len(metrics))
+	}
+	out := s.quant[:len(metrics)]
+	clear(out)
 	if len(mags) == 0 {
 		return out, nil // all erased
 	}

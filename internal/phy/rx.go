@@ -426,7 +426,7 @@ func (fe *FrontEnd) decode(s *RxScratch, cfg DecodeConfig) (*DecodeResult, error
 	}
 	full := s.full
 	if cfg.LLRBits != 0 {
-		full, err = QuantizeMetrics(full, cfg.LLRBits, 0)
+		full, err = QuantizeMetricsInto(s, full, cfg.LLRBits, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -176,6 +176,8 @@ type RxScratch struct {
 	metrics    []float64
 	symMetrics []float64
 	full       []float64
+	mags       []float64 // LLR quantization: sorted non-erased magnitudes
+	quant      []float64 // LLR quantization: quantized metrics
 	hard       []byte
 	vit        coding.ViterbiScratch
 	descr      []byte

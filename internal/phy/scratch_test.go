@@ -34,7 +34,8 @@ func dirtyTx(t *testing.T) *TxScratch {
 // TestAllocatingFormsMatchInto is the scratch-reuse check for the PHY
 // entry points: BuildPacket, Samples, ReconstructGrid and RunFrontEnd must
 // return exactly what their Into forms return from dirty scratch, for every
-// mode at PSDU sizes 0, 1 and 1500, and fail with the same error text.
+// mode at PSDU sizes 0, 1 and 1500, and fail with the same error text;
+// QuantizeMetrics likewise, across widths and erasure patterns.
 func TestAllocatingFormsMatchInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var rxDirty RxScratch
@@ -131,6 +132,68 @@ func TestAllocatingFormsMatchInto(t *testing.T) {
 		if fe != nil || feInto != nil || err == nil || errText(err) != errText(errInto) {
 			t.Errorf("%s: RunFrontEnd = %v, %v; RunFrontEndInto = %v, %v", name, fe, err, feInto, errInto)
 		}
+	}
+
+	// Quantization from scratch left dirty by a longer, unerased input.
+	random := make([]float64, 4000)
+	for i := range random {
+		random[i] = 3 * rng.NormFloat64()
+	}
+	var quantDirty RxScratch
+	if _, err := QuantizeMetricsInto(&quantDirty, random, 16, 0); err != nil {
+		t.Fatal(err)
+	}
+	erased := append([]float64(nil), random[:600]...)
+	for i := 0; i < len(erased); i += 3 {
+		erased[i] = 0
+	}
+	for name, in := range map[string][]float64{
+		"nil": nil, "one": random[:1], "all-erased": make([]float64, 96), "erased": erased, "random": random[:900],
+	} {
+		for _, bits := range []int{1, 2, 4, 5, 16, 17} {
+			for _, clip := range []float64{0, 2.5} {
+				got, err := QuantizeMetrics(in, bits, clip)
+				want, errInto := QuantizeMetricsInto(&quantDirty, in, bits, clip)
+				if !reflect.DeepEqual(got, want) || errText(err) != errText(errInto) {
+					t.Errorf("%s bits %d clip %v: QuantizeMetrics = %v, %v; QuantizeMetricsInto = %v, %v", name, bits, clip, got, err, want, errInto)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizedDecodeSteadyStateAllocs: decoding with fixed-point LLRs on a
+// reused scratch allocates nothing once the scratch has grown.
+func TestQuantizedDecodeSteadyStateAllocs(t *testing.T) {
+	m, err := ModeByRate(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psdu := make([]byte, 1000)
+	rand.New(rand.NewSource(17)).Read(psdu)
+	pkt, err := BuildPacket(TxConfig{Mode: m}, psdu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := pkt.Samples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rx RxScratch
+	fe, err := RunFrontEndInto(&rx, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DecodeConfig{Mode: m, PSDULen: len(psdu), LLRBits: 5}
+	if _, err := fe.DecodeInto(&rx, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if _, err := fe.DecodeInto(&rx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("DecodeInto with 5-bit LLRs: %v allocs per decode, want 0", avg)
 	}
 }
 

@@ -3,9 +3,11 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -29,6 +31,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"soon", 0, false},
 		{"", 0, false},
 		{"1.5", 0, false}, // delta-seconds is an integer; fractions are not the protocol
+		// Deltas past the largest Duration saturate instead of wrapping.
+		{"9223372036", 9223372036 * time.Second, true},
+		{"9223372037", math.MaxInt64, true},
+		{"10000000000", math.MaxInt64, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"99999999999999999999", math.MaxInt64, true},
+		{"-99999999999999999999", 0, true},
 	}
 	for _, tc := range cases {
 		got, ok := ParseRetryAfter(tc.in, now)
@@ -36,6 +45,31 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("ParseRetryAfter(%q) = (%v, %v), want (%v, %v)", tc.in, got, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// FuzzRetryAfter: no header value panics or yields a negative wait, and
+// among positive delta-seconds a larger delta never waits less.
+func FuzzRetryAfter(f *testing.F) {
+	for _, v := range []string{"3", "-5", "soon", "9223372036854775807", "99999999999999999999", "Mon, 02 Jan 2006 15:04:05 GMT"} {
+		f.Add(v, uint64(1), uint64(10000000000))
+	}
+	now := time.Date(2026, 2, 3, 10, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, v string, a, b uint64) {
+		if wait, ok := ParseRetryAfter(v, now); ok && wait < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, want a non-negative wait", v, wait)
+		}
+		if a == 0 || b == 0 {
+			return
+		}
+		if a > b {
+			a, b = b, a
+		}
+		wa, okA := ParseRetryAfter(strconv.FormatUint(a, 10), now)
+		wb, okB := ParseRetryAfter(strconv.FormatUint(b, 10), now)
+		if !okA || !okB || wa > wb {
+			t.Fatalf("delta %d waits (%v, %v) but delta %d waits (%v, %v)", a, wa, okA, b, wb, okB)
+		}
+	})
 }
 
 // retryAfterResponse serves one canned 429 and returns the resulting
@@ -86,6 +120,11 @@ func TestRetryAfterEnvelopePrecedence(t *testing.T) {
 	neither := retryAfterResponse(t, "", `{"error":{"code":"overloaded","message":"busy"}}`)
 	if neither.RetryAfter != 0 {
 		t.Errorf("no hint anywhere: RetryAfter = %v, want 0", neither.RetryAfter)
+	}
+
+	huge := retryAfterResponse(t, "", `{"error":{"code":"overloaded","message":"busy","retry_after_ms":9223372036854775807}}`)
+	if huge.RetryAfter != math.MaxInt64 {
+		t.Errorf("retry_after_ms past the largest Duration: RetryAfter = %v, want it saturated", huge.RetryAfter)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -161,14 +162,17 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 // ("Mon, 02 Jan 2006 15:04:05 GMT" and the obsolete date layouts). Values
 // in the past — a negative delta or an elapsed date — clamp to zero, which
 // still means "the server sent a hint" (retry immediately), so ok stays
-// true; ok is false only for unparseable values.
+// true; ok is false only for unparseable values. Deltas too large for a
+// Duration (including ones past int64) saturate at the largest Duration.
 func ParseRetryAfter(v string, now time.Time) (wait time.Duration, ok bool) {
 	v = strings.TrimSpace(v)
-	if secs, err := strconv.Atoi(v); err == nil {
+	// Out of int64 range, ParseInt returns ±MaxInt64 with ErrRange: the
+	// sign still says past or future.
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0, true
 		}
-		return time.Duration(secs) * time.Second, true
+		return saturatingDuration(secs, time.Second), true
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		d := t.Sub(now)
@@ -178,6 +182,15 @@ func ParseRetryAfter(v string, now time.Time) (wait time.Duration, ok bool) {
 		return d, true
 	}
 	return 0, false
+}
+
+// saturatingDuration returns n (non-negative) units, clamped to the
+// largest Duration instead of wrapping negative.
+func saturatingDuration(n int64, unit time.Duration) time.Duration {
+	if n > math.MaxInt64/int64(unit) {
+		return math.MaxInt64
+	}
+	return time.Duration(n) * unit
 }
 
 // decodeEnvelope fills apiErr from the response body. It accepts both the
@@ -199,7 +212,7 @@ func decodeEnvelope(body io.Reader, apiErr *APIError) {
 		apiErr.Code = info.Code
 		apiErr.Message = info.Message
 		if info.RetryAfterMS > 0 {
-			apiErr.RetryAfter = time.Duration(info.RetryAfterMS) * time.Millisecond
+			apiErr.RetryAfter = saturatingDuration(info.RetryAfterMS, time.Millisecond)
 		}
 		return
 	}

@@ -45,9 +45,9 @@ func TestFigureTaskMatchesLocalRunTask(t *testing.T) {
 		t.Fatalf("TaskRecord header = %+v", tr)
 	}
 
-	ts, ok := experiments.Tasks("fig2", experiments.RunOptions{Scale: 0.4, Seed: 1, Workers: 1})
-	if !ok {
-		t.Fatal("fig2 lost its task decomposition")
+	ts, err := experiments.Tasks("fig2", experiments.RunOptions{Scale: 0.4, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, err := ts.RunTask(t.Context(), 2, pool.TaskRNG(1, 2))
 	if err != nil {

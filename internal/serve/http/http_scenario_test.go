@@ -101,6 +101,43 @@ func TestSubmitUnknownScenario(t *testing.T) {
 // name a known scenario but carry parameters its components reject. Each
 // must get the typed 400 at admission, and none may reach the WAL.
 func TestSubmitRejectsUnbuildableScenario(t *testing.T) {
+	var bodies []string
+	for _, ref := range []string{"hybrid-bscpec:-1,2,-5", "pulse:0,0,0"} {
+		bodies = append(bodies, `{"kind":"link","packets":1,"scenario":"`+ref+`"}`)
+	}
+	assertScenarioRefused(t, bodies)
+}
+
+// TestSubmitRefusesSilenceFigureUnderPadding: a figure that measures
+// silences cannot run under the OFDM-padding embedding, so both its whole-
+// figure and its per-task specs get the typed 400 at admission and never
+// reach the WAL; a channel-only figure under the same scenario runs.
+func TestSubmitRefusesSilenceFigureUnderPadding(t *testing.T) {
+	assertScenarioRefused(t, []string{
+		`{"kind":"figure","figure":"fig9","scale":0.05,"scenario":"ofdm-padding"}`,
+		`{"kind":"figure_task","figure":"fig9","task":0,"scale":0.05,"scenario":"ofdm-padding"}`,
+	})
+
+	_, c := startAPI(t, serve.Config{Shards: 1})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, serve.Spec{Kind: serve.KindFigure, Figure: "fig3", Scale: 0.05, Scenario: "ofdm-padding"}, client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "done" {
+		t.Fatalf("fig3 under ofdm-padding: state = %s (err %q), want done", final.State, final.Error)
+	}
+}
+
+// assertScenarioRefused submits each spec body to a fresh WAL-backed
+// server, expects a 400 with code invalid_scenario for every one, and
+// checks that the reopened WAL holds none of them.
+func assertScenarioRefused(t *testing.T, bodies []string) {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -108,9 +145,8 @@ func TestSubmitRejectsUnbuildableScenario(t *testing.T) {
 	}
 	srv, c := startAPI(t, serve.Config{Shards: 1, Store: st})
 
-	for _, ref := range []string{"hybrid-bscpec:-1,2,-5", "pulse:0,0,0"} {
-		body := []byte(`{"kind":"link","packets":1,"scenario":"` + ref + `"}`)
-		resp, err := http.Post(c.BaseURL+"/jobs", "application/json", bytes.NewReader(body))
+	for _, body := range bodies {
+		resp, err := http.Post(c.BaseURL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +154,7 @@ func TestSubmitRejectsUnbuildableScenario(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&envelope)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", ref, resp.StatusCode)
+			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
 			continue
 		}
 		if err != nil {
@@ -126,7 +162,7 @@ func TestSubmitRejectsUnbuildableScenario(t *testing.T) {
 		}
 		if envelope.Error.Code != servehttp.CodeInvalidScenario {
 			t.Errorf("%s: error code = %q (message %q), want %q",
-				ref, envelope.Error.Code, envelope.Error.Message, servehttp.CodeInvalidScenario)
+				body, envelope.Error.Code, envelope.Error.Message, servehttp.CodeInvalidScenario)
 		}
 	}
 

@@ -225,9 +225,11 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 }
 
 // finish moves the job to a terminal state exactly once. Optional notify
-// hooks run after the state flips but before Done() closes, so an observer
-// that waited on Done is guaranteed to see their side effects — the server
-// uses this to journal the terminal event before waiters wake.
+// hooks run after the state flips but before the result stream ends and
+// Done() closes, so an observer that waited on either is guaranteed to see
+// their side effects — the server uses this to cache the result and
+// journal the terminal event before waiters wake. The hooks may read the
+// result buffer: run has returned, so it is complete.
 func (j *Job) finish(s State, errMsg string, notify ...func()) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -238,13 +240,14 @@ func (j *Job) finish(s State, errMsg string, notify ...func()) {
 	j.errMsg = errMsg
 	j.finished = time.Now()
 	j.cancel = nil
-	j.buf.Close()
 	j.mu.Unlock()
 	// Only the goroutine that performed the transition reaches this point,
-	// so running hooks and closing done outside the lock is single-shot.
+	// so running hooks, ending the stream and closing done outside the
+	// lock is single-shot.
 	for _, fn := range notify {
 		fn()
 	}
+	j.buf.Close()
 	close(j.done)
 }
 

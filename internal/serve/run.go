@@ -426,10 +426,10 @@ type TaskRecord struct {
 }
 
 func runFigureTask(ctx context.Context, spec Spec, enc *json.Encoder) error {
-	ts, ok := experiments.Tasks(spec.Figure, spec.taskRunOptions())
-	if !ok {
-		// Validate rejected unknown figures at admission.
-		return &ConfigError{Field: "figure", Reason: "unknown figure " + spec.Figure}
+	ts, err := experiments.Tasks(spec.Figure, spec.taskRunOptions())
+	if err != nil {
+		// Validate rejected unknown and unsupported figures at admission.
+		return &ConfigError{Field: "figure", Reason: err.Error()}
 	}
 	if spec.Task < 0 || spec.Task >= ts.NumTasks() {
 		return &ConfigError{Field: "task", Reason: fmt.Sprintf("task %d outside [0,%d)", spec.Task, ts.NumTasks())}

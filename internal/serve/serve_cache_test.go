@@ -269,3 +269,35 @@ func TestFailedJobsSettleAcrossRestart(t *testing.T) {
 		t.Fatal("failed digest has a servable result")
 	}
 }
+
+// TestResultStreamEndsAfterFinishHooks: a client that reads a job's result
+// stream to EOF and then resubmits its spec must find the cache populated,
+// so finish ends the stream only after its hooks (persistTerminal among
+// them) have run.
+func TestResultStreamEndsAfterFinishHooks(t *testing.T) {
+	j := &Job{buf: newBuffer(), state: StateRunning, done: make(chan struct{})}
+	j.buf.Write([]byte("{\"type\":\"x\"}\n"))
+	r := j.Result()
+	ran := false
+	j.finish(StateDone, "", func() {
+		ran = true
+		j.buf.mu.Lock()
+		ended := j.buf.closed
+		j.buf.mu.Unlock()
+		if ended {
+			t.Error("result stream ended before the finish hook ran")
+		}
+		select {
+		case <-j.Done():
+			t.Error("Done closed before the finish hook ran")
+		default:
+		}
+	})
+	if !ran {
+		t.Fatal("finish did not run its hook")
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || string(got) != "{\"type\":\"x\"}\n" {
+		t.Fatalf("result stream after finish = %q, %v", got, err)
+	}
+}

@@ -403,8 +403,8 @@ func (s Spec) Validate() error {
 		if s.Figure == "" {
 			return fmt.Errorf("serve: figure job missing figure ID (known: %v)", experiments.IDs())
 		}
-		if _, ok := experiments.Tasks(s.Figure, experiments.RunOptions{}); !ok {
-			return fmt.Errorf("serve: unknown figure %q (known: %v)", s.Figure, experiments.IDs())
+		if _, err := experiments.Tasks(s.Figure, experiments.RunOptions{Scenario: s.Scenario}); err != nil {
+			return figureError(err)
 		}
 		if s.Scale < 0 || s.Scale > 1 {
 			return fmt.Errorf("serve: scale %v outside (0,1]", s.Scale)
@@ -419,15 +419,25 @@ func (s Spec) Validate() error {
 		if s.Scale < 0 || s.Scale > 1 {
 			return fmt.Errorf("serve: scale %v outside (0,1]", s.Scale)
 		}
-		ts, ok := experiments.Tasks(s.Figure, s.taskRunOptions())
-		if !ok {
-			return fmt.Errorf("serve: unknown figure %q (known: %v)", s.Figure, experiments.IDs())
+		ts, err := experiments.Tasks(s.Figure, s.taskRunOptions())
+		if err != nil {
+			return figureError(err)
 		}
 		if n := ts.NumTasks(); s.Task < 0 || s.Task >= n {
 			return fmt.Errorf("serve: task %d outside [0,%d) for figure %q at scale %v", s.Task, n, s.Figure, s.Scale)
 		}
 	}
 	return nil
+}
+
+// figureError classifies an experiments.Tasks refusal: a figure that
+// cannot run under the spec's scenario is an invalid scenario; anything
+// else is an unknown figure.
+func figureError(err error) error {
+	if errors.Is(err, experiments.ErrEmbeddingUnsupported) {
+		return fmt.Errorf("%w: %v", ErrInvalidScenario, err)
+	}
+	return fmt.Errorf("serve: %v", err)
 }
 
 // taskRunOptions maps a normalized figure_task spec onto the RunOptions

@@ -140,7 +140,7 @@ func (r *Receiver) Receive(f *Frame, samples []complex128, now float64) (*RxResu
 	var detectedMask [][]bool
 	if len(f.ControlBits) > 0 {
 		spDet := r.metrics.span(StageDetect)
-		detectedMask, err = r.emb.Mask(fe, f.Mode, f.ControlSubcarriers, r.cfg.thresholdFactor)
+		detectedMask, err = r.emb.Mask(fe, det, f.ControlSubcarriers)
 		if err != nil {
 			return nil, err
 		}
