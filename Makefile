@@ -140,6 +140,9 @@ fuzz:
 	$(GO) test ./internal/cos/ -run xxx -fuzz FuzzIntervalRoundTrip -fuzztime 30s
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzParseRef -fuzztime 30s
 	$(GO) test ./internal/coding/ -run xxx -fuzz FuzzViterbiMatchesReference -fuzztime 30s
+	$(GO) test ./internal/coding/ -run xxx -fuzz FuzzBitPlaneMatchesReference -fuzztime 30s
+	$(GO) test ./internal/modulation/ -run xxx -fuzz FuzzSoftDemapMatchesReference -fuzztime 30s
+	$(GO) test ./internal/trace/ -run xxx -fuzz FuzzTraceRead -fuzztime 30s
 	$(GO) test ./internal/serve/client/ -run xxx -fuzz FuzzRetryAfter -fuzztime 30s
 
 cover:

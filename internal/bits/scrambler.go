@@ -28,6 +28,28 @@ func (s *Scrambler) Next() byte {
 	return fb
 }
 
+// scramblerCycle is the period of the scrambling sequence. x^7 + x^4 + 1
+// is primitive, so the register is maximal-length: every nonzero state lies
+// on one cycle of 127 states.
+const scramblerCycle = 127
+
+// scramblerPeriod tabulates that cycle, recorded by stepping Next: state[i]
+// is the register at position i, seq[i] the bit Next emits from it, and pos
+// the inverse of state.
+var scramblerPeriod = func() (t struct {
+	seq   [scramblerCycle]byte
+	state [scramblerCycle]byte
+	pos   [0x80]uint8
+}) {
+	s := Scrambler{state: 1}
+	for i := range t.seq {
+		t.state[i] = s.state
+		t.pos[s.state] = uint8(i)
+		t.seq[i] = s.Next()
+	}
+	return t
+}()
+
 // Scramble XORs the scrambling sequence over in and returns the result as a
 // new slice. in must be a bit slice (elements 0 or 1).
 func (s *Scrambler) Scramble(in []byte) []byte {

@@ -23,12 +23,35 @@ func grow(s []byte, n int) []byte {
 	return s[:n]
 }
 
-// ScrambleInto is Scrambler.Scramble writing into dst.
+// ScrambleInto is Scrambler.Scramble writing into dst. A seeded scrambler
+// reads its sequence from the period table and leaves the register where
+// stepping Next once per bit would; the zero state never leaves zero and
+// keeps the bit-serial loop.
 func (s *Scrambler) ScrambleInto(dst, in []byte) []byte {
 	dst = grow(dst, len(in))
-	for i, b := range in {
-		dst[i] = (b ^ s.Next()) & 1
+	if s.state&0x7F == 0 {
+		for i, b := range in {
+			dst[i] = (b ^ s.Next()) & 1
+		}
+		return dst
 	}
+	p := int(scramblerPeriod.pos[s.state&0x7F])
+	for done := 0; done < len(in); {
+		src := in[done:min(len(in), done+scramblerCycle-p)]
+		seq := scramblerPeriod.seq[p:][:len(src)]
+		out := dst[done:][:len(src)]
+		i := 0
+		for ; i+8 <= len(src); i += 8 { // eight bits per word: the & keeps bit 0 of each byte
+			w := binary.LittleEndian.Uint64(src[i:]) ^ binary.LittleEndian.Uint64(seq[i:])
+			binary.LittleEndian.PutUint64(out[i:], w&0x0101010101010101)
+		}
+		for ; i < len(src); i++ {
+			out[i] = (src[i] ^ seq[i]) & 1
+		}
+		done += len(src)
+		p = (p + len(src)) % scramblerCycle
+	}
+	s.state = scramblerPeriod.state[p]
 	return dst
 }
 

@@ -30,6 +30,15 @@ func parity(x uint) byte {
 	return byte(bits.OnesCount(x) & 1)
 }
 
+// encoderOutputs holds the two generator outputs (A, B) for every encoder
+// window: the current input bit at bit 6 above the six previous inputs.
+var encoderOutputs = func() (t [1 << ConstraintLength][2]byte) {
+	for window := range t {
+		t[window] = [2]byte{parity(uint(window) & GeneratorA), parity(uint(window) & GeneratorB)}
+	}
+	return t
+}()
+
 // ConvEncode encodes a bit slice with the 802.11a rate-1/2 convolutional
 // code. The output interleaves the two generator streams as A0 B0 A1 B1 ...
 // and has exactly 2*len(in) bits. The encoder starts in the all-zero state;

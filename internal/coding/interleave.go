@@ -55,3 +55,28 @@ func Interleave[T any](il *Interleaver, in []T) ([]T, error) {
 func Deinterleave[T any](il *Interleaver, in []T) ([]T, error) {
 	return DeinterleaveInto(il, []T{}, in)
 }
+
+// DepuncturedPositions maps each transmission-order coded bit of one OFDM
+// symbol to its index in that symbol's depunctured (mother-code) block: the
+// composition of deinterleaving and DepunctureMetrics at rate r. It writes
+// NCBPS positions into dst (grown, reusing its capacity) and returns them
+// with the depunctured block length. The number of bits kept per puncture
+// period must divide NCBPS, so every symbol's block starts on a period
+// boundary and the same map serves every symbol of a packet.
+func (il *Interleaver) DepuncturedPositions(dst []int, r CodeRate) ([]int, int, error) {
+	if !r.Valid() {
+		return nil, 0, fmt.Errorf("coding: invalid code rate %d", int(r))
+	}
+	period, kept := r.keptIndices()
+	if il.ncbps%len(kept) != 0 {
+		return nil, 0, fmt.Errorf("coding: NCBPS %d is not a multiple of %d kept bits per puncture period", il.ncbps, len(kept))
+	}
+	if cap(dst) < il.ncbps {
+		dst = make([]int, il.ncbps)
+	}
+	dst = dst[:il.ncbps]
+	for t, p := range il.inv {
+		dst[t] = p/len(kept)*period + kept[p%len(kept)]
+	}
+	return dst, il.ncbps / len(kept) * period, nil
+}

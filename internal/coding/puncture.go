@@ -39,19 +39,29 @@ func (r CodeRate) Fraction() (num, den int) {
 	}
 }
 
-// puncturePattern returns the keep/drop mask applied periodically over the
-// A/B-interleaved rate-1/2 encoder output.
+// Kept positions within one puncture period of the A/B-interleaved
+// rate-1/2 encoder output:
 //
-//	2/3: (A1 B1 A2 B2)       -> A1 B1 A2         mask 1110
-//	3/4: (A1 B1 A2 B2 A3 B3) -> A1 B1 A2 B3      mask 111001
-func (r CodeRate) puncturePattern() []bool {
+//	1/2: (A1 B1)             -> A1 B1         keep {0,1}
+//	2/3: (A1 B1 A2 B2)       -> A1 B1 A2      keep {0,1,2}
+//	3/4: (A1 B1 A2 B2 A3 B3) -> A1 B1 A2 B3   keep {0,1,2,5}
+var (
+	kept1_2 = []int{0, 1}
+	kept2_3 = []int{0, 1, 2}
+	kept3_4 = []int{0, 1, 2, 5}
+)
+
+// keptIndices returns the rate's puncture period and the positions within
+// one period that survive puncturing, in ascending order. The result is
+// shared and must not be modified.
+func (r CodeRate) keptIndices() (period int, kept []int) {
 	switch r {
 	case Rate2_3:
-		return []bool{true, true, true, false}
+		return 4, kept2_3
 	case Rate3_4:
-		return []bool{true, true, true, false, false, true}
+		return 6, kept3_4
 	default:
-		return []bool{true, true}
+		return 2, kept1_2
 	}
 }
 
@@ -66,17 +76,11 @@ func (r CodeRate) PuncturedLen(motherLen int) (int, error) {
 	if !r.Valid() {
 		return 0, fmt.Errorf("coding: invalid code rate %d", int(r))
 	}
-	pat := r.puncturePattern()
-	if motherLen%len(pat) != 0 {
-		return 0, fmt.Errorf("coding: mother-code length %d is not a multiple of puncture period %d", motherLen, len(pat))
+	period, kept := r.keptIndices()
+	if motherLen%period != 0 {
+		return 0, fmt.Errorf("coding: mother-code length %d is not a multiple of puncture period %d", motherLen, period)
 	}
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
-	}
-	return motherLen / len(pat) * kept, nil
+	return motherLen / period * len(kept), nil
 }
 
 // Puncture drops coded bits from the rate-1/2 stream according to the rate's

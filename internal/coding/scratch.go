@@ -101,8 +101,9 @@ func ConvEncodeInto(dst, in []byte) ([]byte, error) {
 			return nil, fmt.Errorf("coding: input element %d = %d is not a bit", i, b)
 		}
 		window := uint(b)<<6 | state
-		dst[2*i] = parity(window & GeneratorA)
-		dst[2*i+1] = parity(window & GeneratorB)
+		out := encoderOutputs[window&(1<<ConstraintLength-1)]
+		dst[2*i] = out[0]
+		dst[2*i+1] = out[1]
 		state = window >> 1
 	}
 	return dst, nil
@@ -113,27 +114,21 @@ func PunctureInto(dst, in []byte, r CodeRate) ([]byte, error) {
 	if !r.Valid() {
 		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))
 	}
-	pat := r.puncturePattern()
-	if len(in)%len(pat) != 0 {
-		return nil, fmt.Errorf("coding: input length %d is not a multiple of puncture period %d", len(in), len(pat))
+	period, kept := r.keptIndices()
+	if len(in)%period != 0 {
+		return nil, fmt.Errorf("coding: input length %d is not a multiple of puncture period %d", len(in), period)
 	}
 	if r == Rate1_2 {
 		dst = growBytes(dst, len(in))
 		copy(dst, in)
 		return dst, nil
 	}
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
-	}
-	n := len(in) / len(pat) * kept
-	dst = growBytes(dst, n)
+	dst = growBytes(dst, len(in)/period*len(kept))
 	w := 0
-	for i, b := range in {
-		if pat[i%len(pat)] {
-			dst[w] = b
+	for base := 0; base < len(in); base += period {
+		blk := in[base : base+period]
+		for _, k := range kept {
+			dst[w] = blk[k]
 			w++
 		}
 	}
@@ -145,28 +140,22 @@ func DepunctureMetricsInto(dst, in []float64, r CodeRate) ([]float64, error) {
 	if !r.Valid() {
 		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))
 	}
-	pat := r.puncturePattern()
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
+	period, kept := r.keptIndices()
+	if len(in)%len(kept) != 0 {
+		return nil, fmt.Errorf("coding: punctured length %d is not a multiple of %d", len(in), len(kept))
 	}
-	if len(in)%kept != 0 {
-		return nil, fmt.Errorf("coding: punctured length %d is not a multiple of %d", len(in), kept)
+	dst = growFloat64(dst, len(in)/len(kept)*period)
+	if r == Rate1_2 {
+		copy(dst, in)
+		return dst, nil
 	}
-	n := len(in) * len(pat) / kept
-	dst = growFloat64(dst, n)
-	src, w := 0, 0
-	for w < n {
-		for _, k := range pat {
-			if k {
-				dst[w] = in[src]
-				src++
-			} else {
-				dst[w] = 0
-			}
-			w++
+	clear(dst)
+	src := 0
+	for base := 0; base < len(dst); base += period {
+		blk := dst[base : base+period]
+		for _, k := range kept {
+			blk[k] = in[src]
+			src++
 		}
 	}
 	return dst, nil

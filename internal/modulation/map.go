@@ -56,15 +56,31 @@ func (s Scheme) MapBitsInto(dst []complex128, in []byte) ([]complex128, error) {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		pt, err := s.Map(in[i*m : (i+1)*m])
-		if err != nil {
+	points := constellations[s]
+	for i := range dst {
+		group := in[i*m : (i+1)*m]
+		idx, or := 0, byte(0)
+		for _, b := range group {
+			idx = idx<<1 | int(b)
+			or |= b
+		}
+		if or > 1 {
+			_, err := s.Map(group) // reports the first non-bit element
 			return nil, err
 		}
-		dst[i] = pt
+		dst[i] = points[idx]
 	}
 	return dst, nil
 }
+
+// constellations holds each valid scheme's Constellation, so MapBitsInto
+// maps a bit group with one lookup of the point Map itself returns.
+var constellations = func() (t [QAM64 + 1][]complex128) {
+	for s := BPSK; s <= QAM64; s++ {
+		t[s] = s.Constellation()
+	}
+	return t
+}()
 
 // hardAxis returns the axis bits (MSB-first) of the level nearest to x,
 // where x is in unnormalized integer units.
@@ -160,25 +176,58 @@ func (s Scheme) SoftDemapInto(dst []float64, y complex128, noiseVar float64) err
 }
 
 // softAxis computes the per-bit max-log metrics of one axis into out.
+//
+// The squared distance to each level is computed once. Each bit's two
+// minima then scan the levels whose index has that bit clear, and those
+// with it set, each in ascending index order with a strict <: the order a
+// per-bit search over all levels visits each subset in. The scan compares
+// bit patterns as unsigned integers, which the compiler selects without a
+// branch. A square is never negative nor -0, so its pattern orders as the
+// float does, and a NaN pattern of either sign lies above +Inf's, where
+// each minimum starts: the integer scan picks exactly the value a float
+// strict < would.
 func softAxis(out []float64, bitsPerAxis int, y, norm, noiseVar float64) {
 	levels := axisLevels(bitsPerAxis)
-	for bit := 0; bit < bitsPerAxis; bit++ {
-		shift := bitsPerAxis - 1 - bit // bit 0 is the MSB of the axis index
-		min0, min1 := math.Inf(1), math.Inf(1)
-		for idx, lv := range levels {
-			d := y - lv*norm
-			d *= d
-			if (idx>>shift)&1 == 0 {
-				if d < min0 {
-					min0 = d
-				}
-			} else if d < min1 {
+	var dist [8]uint64
+	for idx, lv := range levels {
+		d := y - lv*norm
+		d *= d
+		dist[idx] = math.Float64bits(d)
+	}
+	half := len(levels) / 2
+	inf := math.Float64bits(math.Inf(1))
+	for bit, split := range axisSplits[bitsPerAxis][:bitsPerAxis] {
+		min0, min1 := inf, inf
+		for _, idx := range split[0][:half] {
+			if d := dist[idx&7]; d < min0 {
+				min0 = d
+			}
+		}
+		for _, idx := range split[1][:half] {
+			if d := dist[idx&7]; d < min1 {
 				min1 = d
 			}
 		}
-		out[bit] = (min0 - min1) / noiseVar
+		out[bit] = (math.Float64frombits(min0) - math.Float64frombits(min1)) / noiseVar
 	}
 }
+
+// axisSplits[b][bit] lists, in ascending order, the level indices of a
+// b-bit axis whose bit (0 = the MSB of the index) is clear ([0]) and set
+// ([1]).
+var axisSplits = func() (t [4][3][2][4]uint8) {
+	for b := 1; b <= 3; b++ {
+		for bit := 0; bit < b; bit++ {
+			var n [2]int
+			for idx := 0; idx < 1<<b; idx++ {
+				side := (idx >> (b - 1 - bit)) & 1
+				t[b][bit][side][n[side]] = uint8(idx)
+				n[side]++
+			}
+		}
+	}
+	return t
+}()
 
 // DemapBits hard-demaps a sequence of received points into a bit stream.
 func (s Scheme) DemapBits(ys []complex128) ([]byte, error) {

@@ -158,17 +158,26 @@ func frontEndInto(fe *FrontEnd, samples []complex128, firstPilotIndex int) error
 // NumSymbols returns the number of payload OFDM symbols.
 func (fe *FrontEnd) NumSymbols() int { return len(fe.Bins) }
 
+// dataBins maps data subcarrier d (0..47) to its FFT bin.
+var dataBins = func() (t [ofdm.NumData]int) {
+	for d := range t {
+		k, err := ofdm.DataIndex(d)
+		if err == nil {
+			t[d], err = ofdm.Bin(k)
+		}
+		if err != nil {
+			panic(err) // the subcarrier layout is a compile-time constant
+		}
+	}
+	return t
+}()
+
 // ChannelAt returns the channel estimate of data subcarrier d (0..47).
 func (fe *FrontEnd) ChannelAt(d int) (complex128, error) {
-	k, err := ofdm.DataIndex(d)
-	if err != nil {
+	if _, err := ofdm.DataIndex(d); err != nil {
 		return 0, err
 	}
-	bin, err := ofdm.Bin(k)
-	if err != nil {
-		return 0, err
-	}
-	return fe.ChannelEst[bin], nil
+	return fe.ChannelEst[dataBins[d]], nil
 }
 
 // Equalized returns the zero-forcing-equalized data subcarriers of payload
@@ -187,15 +196,9 @@ func (fe *FrontEnd) EqualizedInto(dst []complex128, s int) ([]complex128, error)
 		dst = make([]complex128, ofdm.NumData)
 	}
 	out := dst[:ofdm.NumData]
-	for d := 0; d < ofdm.NumData; d++ {
-		y, err := fe.Bins[s].DataValue(d)
-		if err != nil {
-			return nil, err
-		}
-		h, err := fe.ChannelAt(d)
-		if err != nil {
-			return nil, err
-		}
+	bins := &fe.Bins[s]
+	for d, bin := range dataBins {
+		y, h := bins[bin], fe.ChannelEst[bin]
 		if dsp.MagSq(h) < 1e-12 {
 			out[d] = 0
 			continue
@@ -222,12 +225,8 @@ func (fe *FrontEnd) SubcarrierSNRsInto(dst []float64) ([]float64, error) {
 		dst = make([]float64, ofdm.NumData)
 	}
 	out := dst[:ofdm.NumData]
-	for d := range out {
-		h, err := fe.ChannelAt(d)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = dsp.MagSq(h) / noise
+	for d, bin := range dataBins {
+		out[d] = dsp.MagSq(fe.ChannelEst[bin]) / noise
 	}
 	return out, nil
 }
@@ -242,12 +241,8 @@ func (fe *FrontEnd) MeasuredSNRdB() (float64, error) {
 		noise = 1e-12
 	}
 	var sum float64
-	for d := 0; d < ofdm.NumData; d++ {
-		h, err := fe.ChannelAt(d)
-		if err != nil {
-			return 0, err
-		}
-		s := dsp.MagSq(h) / noise
+	for _, bin := range dataBins {
+		s := dsp.MagSq(fe.ChannelEst[bin]) / noise
 		if s < 1e-9 {
 			s = 1e-9
 		}
@@ -363,67 +358,69 @@ func (fe *FrontEnd) decode(s *RxScratch, cfg DecodeConfig) (*DecodeResult, error
 	if err != nil {
 		return nil, err
 	}
-	nbpsc := m.NBPSC()
+	if s.posMode != m {
+		s.pos, s.posBlock, err = il.DepuncturedPositions(s.pos, m.CodeRate)
+		if err != nil {
+			return nil, err
+		}
+		s.posMode = m
+	}
+	pos, block := s.pos, s.posBlock
+	nbpsc, ncbps, nSym := m.NBPSC(), m.NCBPS(), fe.NumSymbols()
 
-	ncbps := m.NCBPS()
-	nMetrics := fe.NumSymbols() * ncbps
-	if cap(s.metrics) < nMetrics {
-		s.metrics = make([]float64, nMetrics)
+	// The per-subcarrier noise after zero-forcing depends only on the
+	// channel estimate, so it is computed once per packet.
+	var postEqNoise [ofdm.NumData]float64
+	for d, bin := range dataBins {
+		postEqNoise[d] = 1e9 // unusable subcarrier: metrics ~ 0
+		if hMag := dsp.MagSq(fe.ChannelEst[bin]); hMag > 1e-12 {
+			postEqNoise[d] = fe.NoiseVar / hMag
+		}
 	}
-	metrics := s.metrics[:nMetrics]
-	if cap(s.hard) < nMetrics {
-		s.hard = make([]byte, nMetrics)
+
+	// One pass demaps, deinterleaves and depunctures: each subcarrier's
+	// metrics go straight to their depunctured positions, and the punctured
+	// positions keep the zero metric the clear leaves there.
+	if cap(s.hard) < nSym*ncbps {
+		s.hard = make([]byte, nSym*ncbps)
 	}
-	hard := s.hard[:nMetrics]
-	if cap(s.symMetrics) < ncbps {
-		s.symMetrics = make([]float64, ncbps)
+	hard := s.hard[:nSym*ncbps]
+	if cap(s.full) < nSym*block {
+		s.full = make([]float64, nSym*block)
 	}
-	symMetrics := s.symMetrics[:ncbps]
-	for sym := 0; sym < fe.NumSymbols(); sym++ {
+	s.full = s.full[:nSym*block]
+	clear(s.full)
+	for sym := 0; sym < nSym; sym++ {
 		s.eq, err = fe.EqualizedInto(s.eq, sym)
 		if err != nil {
 			return nil, err
 		}
 		eq := s.eq
-		noise := fe.NoiseVar
+		var erased []bool
+		if cfg.Erased != nil {
+			erased = cfg.Erased[sym]
+		}
+		symHard := hard[sym*ncbps : (sym+1)*ncbps]
+		symFull := s.full[sym*block : (sym+1)*block]
+		t := 0
 		for d := 0; d < ofdm.NumData; d++ {
-			dst := symMetrics[d*nbpsc : (d+1)*nbpsc]
-			if cfg.Erased != nil && cfg.Erased[sym][d] {
-				for i := range dst {
-					dst[i] = 0
+			var metrics [6]float64
+			if erased == nil || !erased[d] {
+				if err := scheme.SoftDemapInto(metrics[:nbpsc], eq[d], postEqNoise[d]); err != nil {
+					return nil, err
 				}
-				continue
 			}
-			h, err := fe.ChannelAt(d)
-			if err != nil {
-				return nil, err
+			for _, v := range metrics[:nbpsc] {
+				symHard[t] = 0
+				if v > 0 {
+					symHard[t] = 1
+				}
+				symFull[pos[t]] = v
+				t++
 			}
-			hMag := dsp.MagSq(h)
-			postEqNoise := 1e9 // unusable subcarrier: metrics ~ 0
-			if hMag > 1e-12 {
-				postEqNoise = noise / hMag
-			}
-			if err := scheme.SoftDemapInto(dst, eq[d], postEqNoise); err != nil {
-				return nil, err
-			}
-		}
-		base := sym * ncbps
-		for i, v := range symMetrics {
-			if v > 0 {
-				hard[base+i] = 1
-			} else {
-				hard[base+i] = 0
-			}
-		}
-		if _, err := coding.DeinterleaveInto(il, metrics[base:base+ncbps], symMetrics); err != nil {
-			return nil, err
 		}
 	}
 
-	s.full, err = coding.DepunctureMetricsInto(s.full, metrics, m.CodeRate)
-	if err != nil {
-		return nil, err
-	}
 	full := s.full
 	if cfg.LLRBits != 0 {
 		full, err = QuantizeMetricsInto(s, full, cfg.LLRBits, 0)

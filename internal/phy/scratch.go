@@ -171,18 +171,19 @@ func ReconstructGridInto(s *TxScratch, cfg TxConfig, psdu []byte) (*ofdm.Grid, e
 // scratch and are valid only until its next use. The zero value is ready to
 // use.
 type RxScratch struct {
-	fe         FrontEnd
-	eq         []complex128
-	metrics    []float64
-	symMetrics []float64
-	full       []float64
-	mags       []float64 // LLR quantization: sorted non-erased magnitudes
-	quant      []float64 // LLR quantization: quantized metrics
-	hard       []byte
-	vit        coding.ViterbiScratch
-	descr      []byte
-	psdu       []byte
-	res        DecodeResult
+	fe       FrontEnd
+	eq       []complex128
+	posMode  Mode  // the mode pos was built for; the zero Mode is invalid
+	pos      []int // transmission-order coded bit -> depunctured index
+	posBlock int   // depunctured metrics per OFDM symbol
+	full     []float64
+	mags     []float64 // LLR quantization: sorted non-erased magnitudes
+	quant    []float64 // LLR quantization: quantized metrics
+	hard     []byte
+	vit      coding.ViterbiScratch
+	descr    []byte
+	psdu     []byte
+	res      DecodeResult
 }
 
 // RunFrontEndInto is RunFrontEnd filling s's front end. The returned front

@@ -197,6 +197,30 @@ func TestQuantizedDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeSteadyStateAllocs: decoding with the default configuration
+// (full-precision metrics) on a reused scratch allocates nothing once the
+// scratch has grown.
+func TestDecodeSteadyStateAllocs(t *testing.T) {
+	m, err := ModeByRate(54)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psdu := randPSDU(rand.New(rand.NewSource(24)), 1500)
+	fe := noisyFrontEnd(t, m, psdu, 20, nil, 25)
+	var rx RxScratch
+	cfg := DecodeConfig{Mode: m, PSDULen: len(psdu)}
+	if _, err := fe.DecodeInto(&rx, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if _, err := fe.DecodeInto(&rx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("DecodeInto: %v allocs per decode, want 0", avg)
+	}
+}
+
 // TestEntryPointMetricCounts pins that each entry point counts one packet
 // build or one front-end run, whichever form the caller picked. It reads
 // process-wide counters, so it must not run in parallel with other tests.

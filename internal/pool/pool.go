@@ -21,8 +21,10 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -54,6 +56,31 @@ func Workers(requested, n int) int {
 	return w
 }
 
+// PanicError is a task panic that ForEach recovered and reported as the
+// task's error.
+type PanicError struct {
+	// Index is the task that panicked.
+	Index int
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pool: task %d panicked: %v", e.Index, e.Value)
+}
+
+// runTask runs task i, turning a panic in fn into a *PanicError.
+func runTask(fn func(i int, rng *rand.Rand) error, i int, seed int64) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i, TaskRNG(seed, i))
+}
+
 // ForEach runs fn(i, rng) for every i in [0, n) across at most `workers`
 // goroutines (workers <= 0 selects GOMAXPROCS) and returns the error of the
 // lowest-indexed failing task, or ctx.Err() if the context was cancelled
@@ -61,8 +88,12 @@ func Workers(requested, n int) int {
 // must write its result only into caller-owned state for index i; under
 // that contract the output is bit-identical for every worker count.
 //
-// On failure or cancellation in-flight tasks finish their current body
-// (cooperatively polling ctx) but no new tasks start.
+// A task that panics fails with a *PanicError under the same
+// lowest-index rule, so a panic never escapes the pool.
+//
+// On cancellation in-flight tasks finish their current body (cooperatively
+// polling ctx) but no new tasks start. On failure no task above the
+// failing index starts, while lower indices still run.
 func ForEach(ctx context.Context, workers, n int, seed int64, fn func(i int, rng *rand.Rand) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -74,32 +105,32 @@ func ForEach(ctx context.Context, workers, n int, seed int64, fn func(i int, rng
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i, TaskRNG(seed, i)); err != nil {
+			if err := runTask(fn, i, seed); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	// Parallel path: a shared atomic cursor hands out indices; the first
-	// failure (lowest index wins, to match the serial path) cancels the
-	// remaining tasks.
-	inner, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// Parallel path: a shared atomic cursor hands out indices in order.
+	// A failure stops every index above it from starting, but indices
+	// below it still run, so the lowest failing index is always found and
+	// reported, as on the serial path.
 	var (
 		next     atomic.Int64
+		failIdx  atomic.Int64 // lowest failing index so far; n when none
 		mu       sync.Mutex
 		firstErr error
-		firstIdx int
 		wg       sync.WaitGroup
 	)
+	failIdx.Store(int64(n))
 	fail := func(i int, err error) {
 		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
+		if int64(i) < failIdx.Load() {
+			firstErr = err
+			failIdx.Store(int64(i))
 		}
 		mu.Unlock()
-		cancel()
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -107,15 +138,11 @@ func ForEach(ctx context.Context, workers, n int, seed int64, fn func(i int, rng
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n || int64(i) > failIdx.Load() || ctx.Err() != nil {
 					return
 				}
-				if err := inner.Err(); err != nil {
-					return
-				}
-				if err := fn(i, TaskRNG(seed, i)); err != nil {
+				if err := runTask(fn, i, seed); err != nil {
 					fail(i, err)
-					return
 				}
 			}
 		}()

@@ -3,7 +3,9 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -65,6 +67,45 @@ func TestForEachPropagatesError(t *testing.T) {
 		})
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: err = %v, want boom", w, err)
+		}
+	}
+}
+
+// TestForEachRecoversPanics: a panicking task fails ForEach with a
+// *PanicError carrying its index, value and stack, on the serial and the
+// parallel path alike, and the lowest failing index wins whether the
+// lower failure is a panic or an ordinary error.
+func TestForEachRecoversPanics(t *testing.T) {
+	boom := errors.New("boom")
+	for _, w := range []int{1, 2, 4} {
+		err := ForEach(context.Background(), w, 32, 1, func(i int, rng *rand.Rand) error {
+			if i == 7 || i == 20 {
+				panic(fmt.Sprintf("task %d", i))
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", w, err)
+		}
+		if pe.Index != 7 || pe.Value != "task 7" || !strings.Contains(string(pe.Stack), "TestForEachRecoversPanics") {
+			t.Errorf("workers=%d: panic error = index %d, value %v, stack:\n%s", w, pe.Index, pe.Value, pe.Stack)
+		}
+		if want := "pool: task 7 panicked: task 7"; err.Error() != want {
+			t.Errorf("workers=%d: error text %q, want %q", w, err.Error(), want)
+		}
+
+		err = ForEach(context.Background(), w, 32, 1, func(i int, rng *rand.Rand) error {
+			switch i {
+			case 3:
+				return boom
+			case 10:
+				panic("late")
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("workers=%d: err = %v, want the lower-index boom", w, err)
 		}
 	}
 }

@@ -103,6 +103,9 @@ type TerminalEvent struct {
 	// length.
 	TraceDigest string `json:"trace_digest,omitempty"`
 	TraceBytes  int    `json:"trace_bytes,omitempty"`
+	// Stack is the goroutine stack of a panic that failed the job (its
+	// Error then starts "internal:"); empty otherwise.
+	Stack string `json:"stack,omitempty"`
 }
 
 // CachedEvent is the payload of EventJobCached.
@@ -270,8 +273,9 @@ func (s *Server) recordTerminal(runMS float64, agg *stageAgg) {
 }
 
 // emitTerminalEvent writes the job's terminal journal event, correlating
-// it with the aggregated flight-recorder stage timings.
-func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg) {
+// it with the aggregated flight-recorder stage timings and carrying the
+// stack of a panic that failed it, if any.
+func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg, stack []byte) {
 	if s.journal == nil {
 		return
 	}
@@ -291,6 +295,7 @@ func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg) {
 	}
 	ev.TraceDigest = st.TraceDigest
 	ev.TraceBytes = st.TraceBytes
+	ev.Stack = string(stack)
 	typ := EventJobFinished
 	switch st.State {
 	case StateFailed.String():

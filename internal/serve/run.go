@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime/debug"
 
 	"cos"
 	"cos/internal/experiments"
@@ -13,6 +15,26 @@ import (
 	"cos/internal/scenario"
 	"cos/internal/wlan"
 )
+
+// runSpec executes a job's spec; tests replace it to inject faults.
+var runSpec = run
+
+// runGuarded calls runSpec and turns a panic, in the job's goroutine or in
+// a pool task it ran, into an error plus the panicking goroutine's stack.
+// stack is nil when nothing panicked.
+func runGuarded(ctx context.Context, spec Spec, w io.Writer, agg *stageAgg, tc *traceCapture) (stack []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			stack, err = debug.Stack(), fmt.Errorf("panic: %v", v)
+		}
+	}()
+	err = runSpec(ctx, spec, w, agg, tc)
+	var pe *pool.PanicError
+	if errors.As(err, &pe) {
+		stack = pe.Stack
+	}
+	return stack, err
+}
 
 // run executes a normalized spec, writing NDJSON records to w in
 // simulation order. Every record is a struct (never a map), so field

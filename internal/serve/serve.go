@@ -635,7 +635,7 @@ func (s *Server) Cancel(id string) error {
 	// are counted by the worker when their context poll fires.
 	j.requestCancel(func() {
 		s.finished.With("cancelled").Inc()
-		s.emitTerminalEvent(j, nil)
+		s.emitTerminalEvent(j, nil, nil)
 	})
 	return nil
 }
@@ -742,7 +742,7 @@ func (s *Server) runJob(j *Job) {
 		// queued job reached a worker.
 		j.finish(StateCancelled, "", func() {
 			s.finished.With("cancelled").Inc()
-			s.emitTerminalEvent(j, nil)
+			s.emitTerminalEvent(j, nil, nil)
 		})
 		return
 	}
@@ -774,7 +774,7 @@ func (s *Server) runJob(j *Job) {
 	if j.traced {
 		tc = newTraceCapture(j.probeEvery)
 	}
-	err := run(ctx, j.spec, j.buf, agg, tc)
+	stack, err := runGuarded(ctx, j.spec, j.buf, agg, tc)
 	if tc != nil && err == nil {
 		// Finalize before the finish hooks run: persistTerminal writes the
 		// artifact and emitTerminalEvent stamps its digest.
@@ -789,13 +789,18 @@ func (s *Server) runJob(j *Job) {
 	hooks := func(st State) []func() {
 		return []func(){
 			func() { s.persistTerminal(j, st) },
-			func() { s.emitTerminalEvent(j, agg) },
+			func() { s.emitTerminalEvent(j, agg, stack) },
 		}
 	}
 	switch {
 	case err == nil:
 		s.finished.With("done").Inc()
 		j.finish(StateDone, "", hooks(StateDone)...)
+	case stack != nil:
+		// A panic is a bug in the daemon, not in the spec: the job fails
+		// and the worker lives on to serve the next one.
+		s.finished.With("failed").Inc()
+		j.finish(StateFailed, "internal: "+err.Error(), hooks(StateFailed)...)
 	case errors.Is(err, context.Canceled):
 		s.finished.With("cancelled").Inc()
 		j.finish(StateCancelled, "", hooks(StateCancelled)...)

@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"cos/internal/obs"
+	"cos/internal/pool"
 	"cos/internal/serve/cache"
 	"cos/internal/serve/store"
 )
@@ -267,6 +271,88 @@ func TestFailedJobsSettleAcrossRestart(t *testing.T) {
 	}
 	if _, ok := s2.ResultByDigest(j.Digest()); ok {
 		t.Fatal("failed digest has a servable result")
+	}
+}
+
+// TestPanicFailsJobNotDaemon: a panic in a job's run, on its own goroutine
+// or in a pool task, fails that job with an internal: error and the stack
+// in its terminal event. The one shard worker then serves the next job,
+// and a reopened store settles both failures instead of re-admitting them.
+func TestPanicFailsJobNotDaemon(t *testing.T) {
+	orig := runSpec
+	t.Cleanup(func() { runSpec = orig })
+	runSpec = func(ctx context.Context, spec Spec, w io.Writer, agg *stageAgg, tc *traceCapture) error {
+		switch spec.Seed {
+		case 666:
+			panic("injected fault")
+		case 667:
+			return pool.ForEach(ctx, 2, 4, spec.Seed, func(i int, _ *rand.Rand) error {
+				if i == 2 {
+					panic("injected task fault")
+				}
+				return nil
+			})
+		}
+		return orig(ctx, spec, w, agg, tc)
+	}
+
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st1})
+	want := map[int64]string{
+		666: "internal: panic: injected fault",
+		667: "internal: pool: task 2 panicked: injected task fault",
+	}
+	var failed []*Job
+	for _, seed := range []int64{666, 667} {
+		j, err := s1.Submit(Spec{Kind: KindLink, Seed: seed, Packets: 3, PayloadBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j, 30*time.Second); st.State != "failed" || st.Error != want[seed] {
+			t.Fatalf("seed %d: state %s, error %q; want failed, %q", seed, st.State, st.Error, want[seed])
+		}
+		failed = append(failed, j)
+	}
+	next, err := s1.Submit(Spec{Kind: KindLink, Seed: 7, Packets: 3, PayloadBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, next, 30*time.Second); st.State != "done" {
+		t.Fatalf("job after the panics: state %s (%s), want done", st.State, st.Error)
+	}
+	s1.Drain(5 * time.Second)
+
+	failedEvents := eventsOfType(s1.Journal().Snapshot(0), EventJobFailed)
+	if len(failedEvents) != 2 {
+		t.Fatalf("%d job_failed events, want 2", len(failedEvents))
+	}
+	for _, ev := range failedEvents {
+		var term TerminalEvent
+		decodeInto(t, ev, &term)
+		if !strings.HasPrefix(term.Error, "internal: ") || !strings.Contains(term.Stack, "TestPanicFailsJobNotDaemon") {
+			t.Errorf("job %s failed event: error %q, stack:\n%s", ev.Job, term.Error, term.Stack)
+		}
+	}
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rec := st2.Recovery(); len(rec.Failed) != 2 || len(rec.Pending) != 0 {
+		t.Fatalf("recovery after the panics = %+v, want two settled digests", rec)
+	}
+	s2 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st2})
+	defer s2.Drain(5 * time.Second)
+	for _, j := range failed {
+		if _, err := s2.JobByDigest(j.Digest()); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("panicked digest %s was re-admitted: %v", j.Digest(), err)
+		}
 	}
 }
 
