@@ -1,80 +1,59 @@
 package cos_test
 
-// Head-to-head scenario benchmark: the paper's CoS silence embedding
-// against the WiPad-style OFDM-padding embedding on the same indoor
-// channel, and the indoor TDL channel against the hybrid BSC/PEC outdoor
-// channel under the same embedding. `make bench-scenario` writes the
-// full-scale report to BENCH_scenario.json; `make ci` replays it at a
-// reduced packet count under the race detector.
+// Head-to-head scenario gate: the paper's CoS silence embedding against
+// the WiPad-style OFDM-padding embedding on the same indoor channel, and
+// the indoor TDL channel against the hybrid BSC/PEC outdoor channel under
+// the same embedding.
 
 import (
-	"encoding/json"
-	"flag"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"cos"
+	"cos/internal/benchkit"
 )
 
-// benchScenarioOut enables TestWriteBenchScenarioReport; `make
-// bench-scenario` points it at BENCH_scenario.json.
-var benchScenarioOut = flag.String("bench-scenario-out", "", "write the scenario head-to-head report to this JSON file")
-
-// benchScenarioPackets is the per-world packet count; `make ci` shrinks it
-// so the race-detector pass stays fast.
-var benchScenarioPackets = flag.Int("bench-scenario-packets", 400, "packets per scenario in the head-to-head report")
-
-// scenarioBenchReport is one world's measured row.
-type scenarioBenchReport struct {
-	Scenario       string  `json:"scenario"`
-	Channel        string  `json:"channel"`
-	Embedding      string  `json:"embedding"`
-	SNRdB          float64 `json:"snr_db"`
-	Packets        int     `json:"packets"`
-	DataOKRate     float64 `json:"data_ok_rate"`
-	ControlOKRate  float64 `json:"control_ok_rate"`
-	AvgControlBits float64 `json:"avg_control_bits"`
-	AvgSilences    float64 `json:"avg_silences"`
-	Seconds        float64 `json:"seconds"`
-	PacketsPerSec  float64 `json:"packets_per_sec"`
-}
-
-// TestWriteBenchScenarioReport regenerates BENCH_scenario.json (via
-// `make bench-scenario`): it drives the same fixed-seed send schedule
-// through four worlds — the default CoS-silence/indoor-TDL pairing, the
-// OFDM-padding embedding on the same indoor channel, and the CoS-silence
-// embedding over the hybrid BSC/PEC outdoor channel at two erasure
-// settings — and records per-world packet delivery, control accuracy,
-// silence budget spend, and throughput. It skips itself unless
-// -bench-scenario-out is set so `go test ./...` stays fast.
-func TestWriteBenchScenarioReport(t *testing.T) {
-	if *benchScenarioOut == "" {
-		t.Skip("set -bench-scenario-out to write the report")
+// TestScenarioWorlds drives the same fixed-seed send schedule through four
+// worlds: the default CoS-silence/indoor-TDL pairing, the OFDM-padding
+// embedding on the same indoor channel, and the CoS-silence embedding over
+// the hybrid BSC/PEC outdoor channel at two erasure settings. Every world
+// must deliver packets, the padding embedding must spend no silences and
+// the silence embeddings must spend some. It runs 40 packets per world in
+// `go test ./...` and under the race detector in `make ci`; with
+// -benchkit.dir it runs 400 and writes BENCH_scenario.json.
+func TestScenarioWorlds(t *testing.T) {
+	packets := 40
+	if benchkit.Dir() != "" {
+		packets = 400
 	}
-	packets := *benchScenarioPackets
 	const ctrlBits, k = 16, 4
 	const snr = 22.0
 
 	worlds := []struct {
-		name      string
-		channel   string
-		embedding string
-		opts      []cos.Option
+		name    string
+		padding bool // the OFDM-padding embedding; the others embed by silence
+		opts    []cos.Option
 	}{
-		{"default", "indoor-tdl", "cos-silence",
+		{"default", false,
 			[]cos.Option{cos.WithSeed(41), cos.WithSNR(snr)}},
-		{"ofdm-padding", "indoor-tdl", "ofdm-padding",
+		{"ofdm-padding", true,
 			[]cos.Option{cos.WithScenario("ofdm-padding"), cos.WithSeed(41), cos.WithSNR(snr)}},
-		{"hybrid-bscpec", "hybrid-bscpec", "cos-silence",
+		{"hybrid-bscpec", false,
 			[]cos.Option{cos.WithScenario("hybrid-bscpec"), cos.WithSeed(41), cos.WithSNR(snr)}},
-		{"hybrid-bscpec:0.3,0.1,25", "hybrid-bscpec", "cos-silence",
+		{"hybrid-bscpec:0.3,0.1,25", false,
 			[]cos.Option{cos.WithScenario("hybrid-bscpec", 0.3, 0.1, 25), cos.WithSeed(41), cos.WithSNR(snr)}},
 	}
 
-	var rows []scenarioBenchReport
+	r := benchkit.Report{Methodology: "Each world runs the same fixed-seed 256-byte send schedule " +
+		"(16 control bits/packet, k=4) through a fresh Link at 22 dB SNR. data_ok_rate is the " +
+		"frame-check pass rate, control_ok_rate the fraction of packets whose extracted control " +
+		"bits prefix-match the sent bits, avg_silences the silence-symbol budget actually spent. " +
+		"The embedding axis compares cos-silence vs ofdm-padding on the indoor TDL channel; the " +
+		"channel axis compares indoor TDL vs the hybrid BSC/PEC outdoor channel (Chen & Leith) " +
+		"under cos-silence at the preset and a harsher q=0.3,p=0.1 operating point. Timings are " +
+		"wall clock on a single goroutine. Row names are <world>.<metric>."}
+	r.Row("packets_per_world", "count", float64(packets))
 	for _, w := range worlds {
 		link, err := cos.NewLink(w.opts...)
 		if err != nil {
@@ -112,62 +91,20 @@ func TestWriteBenchScenarioReport(t *testing.T) {
 			silences += ex.SilencesInserted
 		}
 		sec := time.Since(start).Seconds()
-		rows = append(rows, scenarioBenchReport{
-			Scenario:       w.name,
-			Channel:        w.channel,
-			Embedding:      w.embedding,
-			SNRdB:          snr,
-			Packets:        packets,
-			DataOKRate:     float64(dataOK) / float64(packets),
-			ControlOKRate:  float64(ctrlOK) / float64(packets),
-			AvgControlBits: float64(ctrlSent) / float64(packets),
-			AvgSilences:    float64(silences) / float64(packets),
-			Seconds:        sec,
-			PacketsPerSec:  float64(packets) / sec,
-		})
-	}
+		per := func(n int) float64 { return float64(n) / float64(packets) }
+		r.Row(w.name+".data_ok_rate", "ratio", per(dataOK))
+		r.Row(w.name+".control_ok_rate", "ratio", per(ctrlOK))
+		r.Row(w.name+".avg_control_bits", "count", per(ctrlSent))
+		r.Row(w.name+".avg_silences", "count", per(silences))
+		r.Row(w.name+".packets_per_s", "1/s", float64(packets)/sec)
 
-	// Sanity floors rather than cross-world races: every world must move
-	// packets, the padding embedding must spend zero silences, and the
-	// silence embeddings must spend a nonzero budget.
-	for _, r := range rows {
-		if r.DataOKRate == 0 {
-			t.Errorf("%s delivered no packets", r.Scenario)
-		}
-		if r.Embedding == "ofdm-padding" && r.AvgSilences != 0 {
-			t.Errorf("%s inserted silences (%v/packet); padding must not", r.Scenario, r.AvgSilences)
-		}
-		if r.Embedding == "cos-silence" && r.AvgSilences == 0 {
-			t.Errorf("%s inserted no silences; the CoS embedding is not engaging", r.Scenario)
+		// Sanity floors rather than cross-world races.
+		r.Check(w.name+".delivers", "data_ok_rate > 0", dataOK > 0)
+		if w.padding {
+			r.AtMost(w.name+".silences", "avg_silences <= bound: padding spends none", 0, per(silences))
+		} else {
+			r.Check(w.name+".silences", "avg_silences > 0: the CoS embedding engages", silences > 0)
 		}
 	}
-
-	report := struct {
-		GeneratedBy string                `json:"generated_by"`
-		GoMaxProcs  int                   `json:"gomaxprocs"`
-		Methodology string                `json:"methodology"`
-		Scenarios   []scenarioBenchReport `json:"scenarios"`
-	}{
-		GeneratedBy: "make bench-scenario",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Methodology: "Each world runs the same fixed-seed 256-byte send schedule " +
-			"(16 control bits/packet, k=4) through a fresh Link at 22 dB SNR. " +
-			"data_ok_rate is the frame-check pass rate, control_ok_rate the " +
-			"fraction of packets whose extracted control bits prefix-match the " +
-			"sent bits, avg_silences the silence-symbol budget actually spent. " +
-			"The embedding axis compares cos-silence vs ofdm-padding on the " +
-			"indoor TDL channel; the channel axis compares indoor TDL vs the " +
-			"hybrid BSC/PEC outdoor channel (Chen & Leith) under cos-silence " +
-			"at the preset and a harsher q=0.3,p=0.1 operating point. Timings " +
-			"are wall clock on a single goroutine.",
-		Scenarios: rows,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchScenarioOut, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d packets/world)", *benchScenarioOut, packets)
+	r.Finish(t, "scenario")
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -299,4 +300,72 @@ func receiverName(fd *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
+}
+
+// TestOneBenchHarness keeps one bench harness: every in-repo gate records
+// its rows and gates through internal/benchkit, which owns the one
+// -benchkit.dir flag and the BENCH_<name>.json file names. A test file
+// elsewhere that declares its own bench-* flag or names a BENCH_ file has
+// grown a second harness.
+func TestOneBenchHarness(t *testing.T) {
+	benchFile := regexp.MustCompile(`BENCH_[A-Za-z0-9_]*\.json`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == filepath.Join("internal", "benchkit") ||
+				path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
+				return filepath.SkipDir // a module of its own
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		flagPkg := ""
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "flag" {
+				flagPkg = "flag"
+				if imp.Name != nil {
+					flagPkg = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || flagPkg == "" {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != flagPkg {
+					return true
+				}
+				for _, arg := range n.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.HasPrefix(strings.Trim(lit.Value, "`\""), "bench") {
+						t.Errorf("%s: declares flag %s; gates take -benchkit.dir from internal/benchkit", fset.Position(lit.Pos()), lit.Value)
+					}
+				}
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && benchFile.MatchString(n.Value) {
+					t.Errorf("%s: names %s; gates write their reports through benchkit.Report.Finish", fset.Position(n.Pos()), n.Value)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

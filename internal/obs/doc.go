@@ -22,8 +22,9 @@
 // atomic words, histograms are fixed bucket arrays with atomic adds, and
 // instrumented packages resolve their metric handles once at init (or
 // link construction) rather than per observation. The overhead budget on
-// Link.Send is <2%, enforced by BENCH_obs.json and
-// BenchmarkLinkExchangeInstrumented at the repository root.
+// Link.Send is <2%: the link-observer gate behind BENCH_events.json
+// enforces it, and BenchmarkLinkExchangeInstrumented at the repository
+// root measures it.
 //
 // SpanSet/Span time multi-stage pipelines: a SpanSet registers one
 // latency histogram per named stage and keeps an atomic per-owner
@@ -31,7 +32,7 @@
 // a per-operation stage breakdown while the histograms aggregate across
 // operations. StartSpan/End allocate nothing; the zero Span is inert.
 // The flight-recorder overhead budget (sampled probes within 2% on top
-// of spans) is enforced by BENCH_trace.json via `make bench-trace`.
+// of spans) is enforced by the BENCH_trace.json gate via `make bench`.
 //
 // Metrics live in a Registry. The process-wide Default() registry is what
 // the pipeline instruments and what obshttp/Snapshot expose; tests that

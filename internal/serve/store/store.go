@@ -200,8 +200,12 @@ func (s *Store) replay() error {
 		if err := json.Unmarshal(line, &r); err != nil || r.WAL != walVersion {
 			break // corrupt or foreign record: stop trusting the log here
 		}
-		switch r.Op {
-		case opSubmit:
+		switch {
+		case !validDigest(r.Digest):
+			// A digest that is not lowercase hex could name a file outside
+			// the data dir: skip the record like an unknown op, counted
+			// but never folded.
+		case r.Op == opSubmit:
 			ds := states[r.Digest]
 			if ds == nil {
 				states[r.Digest] = &digestState{state: "pending", job: r.Job, spec: r.Spec, order: order}
@@ -216,7 +220,7 @@ func (s *Store) replay() error {
 			}
 			// pending stays pending (one re-run covers every duplicate);
 			// done stays done (content-addressed results cannot change).
-		case opResult:
+		case r.Op == opResult:
 			ds := states[r.Digest]
 			if ds == nil {
 				ds = &digestState{job: r.Job, order: order}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -289,6 +290,102 @@ func TestStoreHostileTraceDigestReplaysUntraced(t *testing.T) {
 		&TraceArtifact{Digest: "../evil", Body: []byte("t\n")}); err == nil {
 		t.Error("LogResult accepted a hostile trace artifact digest")
 	}
+}
+
+// TestStoreHostileDigestRecordsAreSkipped covers a tampered WAL whose
+// record digests carry path metacharacters: replay must never stat a file
+// by such a name, so the records are counted but not folded, even when a
+// file sits where the digest points outside the data dir.
+func TestStoreHostileDigestRecordsAreSkipped(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "data")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// results/../../secret resolves to root/a/secret.
+	if err := os.WriteFile(filepath.Join(root, "a", "secret"), []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal := `{"wal":1,"op":"submit","job":"j1","digest":"../../secret","spec":{"spec":{}}}` + "\n" +
+		`{"wal":1,"op":"result","job":"j1","digest":"../../secret","state":"done"}` + "\n" +
+		`{"wal":1,"op":"result","job":"j2","digest":"ABC","state":"failed"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := open(t, dir).Recovery()
+	if len(rec.Completed) != 0 || len(rec.Pending) != 0 || len(rec.Failed) != 0 {
+		t.Fatalf("hostile digests folded into recovery: %+v", rec)
+	}
+	if rec.Records != 3 || rec.TruncatedBytes != 0 {
+		t.Fatalf("records %d truncated %d, want 3 records kept and no truncation", rec.Records, rec.TruncatedBytes)
+	}
+}
+
+// FuzzStoreReplay opens a store on arbitrary WAL bytes, with one file
+// planted where a result named plant would live (anywhere inside the fuzz
+// root, so a hostile digest has something to find). Open must not fail or
+// panic, every digest it recovers must be a valid one, and reopening must
+// replay to the same recovery with nothing left to truncate.
+func FuzzStoreReplay(f *testing.F) {
+	valid := []byte(`{"wal":1,"op":"submit","job":"j1","digest":"aa","spec":{}}` + "\n" +
+		`{"wal":1,"op":"submit","job":"j2","digest":"bb","spec":{}}` + "\n" +
+		`{"wal":1,"op":"result","job":"j1","digest":"aa","state":"done","trace":"cc","probe_every":8}` + "\n" +
+		`{"wal":1,"op":"result","job":"j2","digest":"bb","state":"failed"}` + "\n")
+	for i := 0; i <= len(valid); i++ {
+		f.Add(valid[:i], "aa")
+	}
+	f.Add(valid, "../traces/cc")
+	f.Add([]byte(`{"wal":1,"op":"result","job":"j1","digest":"../../secret","state":"done"}`+"\n"), "../../secret")
+
+	f.Fuzz(func(t *testing.T, wal []byte, plant string) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "a", "b", "data")
+		if err := os.MkdirAll(filepath.Join(dir, resultsDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if p := filepath.Join(dir, resultsDir, plant); strings.HasPrefix(p, root+string(filepath.Separator)) {
+			_ = os.WriteFile(p, []byte("planted\n"), 0o644) // a path that cannot be a file just plants nothing
+		}
+		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		rec := s.Recovery()
+		s.Close()
+		var digests []string
+		for _, c := range rec.Completed {
+			digests = append(digests, c.Digest)
+			if c.TraceDigest != "" {
+				digests = append(digests, c.TraceDigest)
+			}
+		}
+		for _, p := range rec.Pending {
+			digests = append(digests, p.Digest)
+		}
+		digests = append(digests, rec.Failed...)
+		for _, d := range digests {
+			if !validDigest(d) {
+				t.Fatalf("recovered invalid digest %q: %+v", d, rec)
+			}
+		}
+
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		again := re.Recovery()
+		re.Close()
+		if again.TruncatedBytes != 0 {
+			t.Fatalf("reopen truncated %d more bytes", again.TruncatedBytes)
+		}
+		rec.TruncatedBytes = 0
+		if !reflect.DeepEqual(rec, again) {
+			t.Fatalf("reopen recovered %+v, first open %+v", again, rec)
+		}
+	})
 }
 
 func TestStoreClosedRefusesAppends(t *testing.T) {

@@ -248,8 +248,8 @@ func WithObserver(o Observer) Option {
 //
 // Probes re-demodulate the whole packet against the transmitted grid, so
 // they are far more expensive than the exchange itself; sampling keeps
-// them off the hot path (the BENCH_trace.json overhead budget assumes
-// every >= 64 for long sessions). Without this option no probe work runs
+// them off the hot path (the BENCH_trace.json overhead gate, which
+// `make bench` runs, assumes every >= 64 for long sessions). Without this option no probe work runs
 // at all. fn may be nil: the probe is still attached to Exchange.Probe,
 // where observers (e.g. trace capture into schema v2) pick it up; when
 // non-nil, fn is called synchronously with each probe before observers
